@@ -43,6 +43,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the underlying writer, so
+// streaming handlers can set per-write deadlines through the wrapper.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // flushWriter adds Flush passthrough for streaming handlers (the
 // NDJSON stream type-asserts http.Flusher on its ResponseWriter).
 type flushWriter struct {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestHTTPMetricsWrap(t *testing.T) {
@@ -41,6 +42,27 @@ func TestHTTPMetricsWrap(t *testing.T) {
 	)
 	if m.inFlight.Value() != 0 {
 		t.Fatalf("in-flight = %v after requests, want 0", m.inFlight.Value())
+	}
+}
+
+// TestHTTPMetricsWrapWriteDeadline: a wrapped handler can still set its
+// own write deadline, which streaming routes rely on to leave the
+// server's absolute WriteTimeout.
+func TestHTTPMetricsWrapWriteDeadline(t *testing.T) {
+	m := NewHTTPMetrics(NewRegistry())
+	errc := make(chan error, 1)
+	h := m.Wrap("GET /stream", func(w http.ResponseWriter, req *http.Request) {
+		errc <- http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Second))
+	})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := <-errc; err != nil {
+		t.Fatalf("SetWriteDeadline through Wrap: %v", err)
 	}
 }
 

@@ -259,6 +259,7 @@ func (s *Server) sweepRetention(now time.Time) {
 	for _, j := range evict {
 		delete(s.jobs, j.id)
 	}
+	retained := len(s.jobs)
 	s.mu.Unlock()
 
 	for _, j := range evict {
@@ -270,6 +271,11 @@ func (s *Server) sweepRetention(now time.Time) {
 		if s.evictedJobs != nil {
 			s.evictedJobs.Inc()
 		}
-		s.log.Info("job evicted", "job", j.id, "finished", j.finishedAt)
+		// Debug per job, like the hit path: under a hit flood an Info line
+		// per evicted job would flood the log.
+		s.log.Debug("job evicted", "job", j.id, "finished", j.finishedAt)
+	}
+	if len(evict) > 0 {
+		s.log.Info("retention sweep", "evicted", len(evict), "retained", retained)
 	}
 }

@@ -26,6 +26,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -338,11 +339,12 @@ func (j *job) publish(pt IntervalPoint) {
 
 // subscribe returns the estimates so far plus a channel of subsequent
 // ones; the channel is closed when the job ends (or nil if it already
-// has). cancelSub must be called when the consumer goes away.
+// has). cancelSub must be called when the consumer goes away. points is
+// append-only, so replay shares its backing array instead of copying.
 func (j *job) subscribe() (replay []IntervalPoint, ch chan IntervalPoint) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay = append([]IntervalPoint(nil), j.points...)
+	replay = j.points[:len(j.points):len(j.points)]
 	if j.ended {
 		return replay, nil
 	}
@@ -1300,20 +1302,34 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	enc := json.NewEncoder(w)
+	// Events are encoded into buf; send writes and flushes whatever is
+	// buffered under one rolling deadline. A live job sends its backlog,
+	// then one line per estimate so the client watches AVF evolve; a
+	// finished job's whole stream goes out in a single write.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	arm := s.armStreamWrite(w)
-	emit := func(ev StreamEvent) bool {
-		arm()
-		if err := enc.Encode(ev); err != nil {
+	pending := 0 // interval events in buf
+	interval := func(pt *IntervalPoint) bool {
+		if err := enc.Encode(StreamEvent{Type: "interval", Interval: pt}); err != nil {
 			return false
 		}
-		flusher.Flush() // one line per estimate: the client watches AVF evolve live
-		if ev.Type == "interval" {
-			points++
-			if s.streamedPoints != nil {
-				s.streamedPoints.Inc()
-			}
+		pending++
+		return true
+	}
+	send := func() bool {
+		arm()
+		_, err := w.Write(buf.Bytes())
+		buf.Reset()
+		if err != nil {
+			return false
 		}
+		flusher.Flush()
+		points += pending
+		if s.streamedPoints != nil {
+			s.streamedPoints.Add(int64(pending))
+		}
+		pending = 0
 		return true
 	}
 
@@ -1321,12 +1337,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if ch != nil {
 		defer j.cancelSub(ch)
 	}
-	for _, pt := range replay {
-		if !emit(StreamEvent{Type: "interval", Interval: &pt}) {
+	for i := range replay {
+		if !interval(&replay[i]) {
 			return
 		}
 	}
 	if ch != nil {
+		if !send() {
+			return
+		}
 	stream:
 		for {
 			select {
@@ -1334,7 +1353,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				if !ok {
 					break stream
 				}
-				if !emit(StreamEvent{Type: "interval", Interval: &pt}) {
+				if !interval(&pt) || !send() {
 					return
 				}
 			case <-r.Context().Done():
@@ -1342,8 +1361,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	st := j.status()
-	emit(StreamEvent{Type: "end", State: st.State, Error: st.Error})
+	j.mu.Lock()
+	end := StreamEvent{Type: "end", State: j.state(), Error: j.errMsg}
+	j.mu.Unlock()
+	if enc.Encode(end) == nil {
+		send()
+	}
 }
 
 // handleTrace serves the job's injection-lifecycle trace as NDJSON:

@@ -15,6 +15,7 @@ import (
 	"avfsim/internal/obs"
 	"avfsim/internal/sched"
 	"avfsim/internal/span"
+	"avfsim/internal/store"
 )
 
 // newSpanServer is newTestServer plus request tracing and SLO
@@ -346,6 +347,14 @@ func TestTraceContinuityAcrossRestart(t *testing.T) {
 	if waitTerminal(t, ts, id, 30*time.Second).State != "done" {
 		t.Fatal("job did not finish")
 	}
+	// The watcher persists the span summary after the terminal state is
+	// visible; wait for it to land before "crashing".
+	for deadline := time.Now().Add(10 * time.Second); !hasTrace(st.Jobs(), id); {
+		if time.Now().After(deadline) {
+			t.Fatal("span summary never persisted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	before := fetchSpans(t, ts, id)
 	if len(before) == 0 {
 		t.Fatal("no spans before restart")
@@ -372,6 +381,15 @@ func TestTraceContinuityAcrossRestart(t *testing.T) {
 			t.Fatalf("restored span %s on trace %q, want %q", after[i].Name, after[i].TraceID, trace)
 		}
 	}
+}
+
+func hasTrace(jobs []store.JobRecord, id string) bool {
+	for _, jr := range jobs {
+		if jr.ID == id && jr.Trace != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSpansDisabled404: without WithSpans/WithSLO the new surfaces

@@ -373,23 +373,24 @@ func (s *Store) apply(rec *Record) {
 // append frames rec, writes it durably, folds it into the materialized
 // state, and auto-compacts past the size threshold.
 func (s *Store) append(rec *Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: marshal record: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.seq++
-	rec.Seq = s.seq
-	// Re-marshal now that Seq is assigned (cheap; appends are per
-	// estimation interval, not per cycle).
-	payload, err = json.Marshal(rec)
+	// An evict frame for a job with no spec frame is a no-op under apply,
+	// live and at replay alike, so it is not written. The check shares the
+	// critical section that assigns seq: a spec frame appended before this
+	// point is always followed by its evict frame.
+	if rec.Kind == KindEvict && s.jobs[rec.Job] == nil {
+		return nil
+	}
+	rec.Seq = s.seq + 1
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: marshal record: %w", err)
 	}
+	s.seq++
 	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
@@ -463,7 +464,8 @@ func (s *Store) AppendTrace(job string, trace any) error {
 }
 
 // Evict removes a job from the store (retention). The history frames
-// disappear from disk at the next compaction.
+// disappear from disk at the next compaction. Evicting a job the store
+// never recorded (a cache hit, a single-flight follower) appends nothing.
 func (s *Store) Evict(job string) error {
 	return s.append(&Record{Kind: KindEvict, Job: job})
 }

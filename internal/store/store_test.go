@@ -234,6 +234,53 @@ func TestEvict(t *testing.T) {
 	}
 }
 
+// TestEvictUnknownJobWritesNothing: evicting a job the store never
+// recorded (a cache hit, a single-flight follower) appends no frame and
+// issues no fsync; evicting a recorded job still persists its frame
+// without a compaction.
+func TestEvictUnknownJobWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s := openT(t, dir, Options{Metrics: reg, CompactBytes: -1})
+	s.AppendSpec("job-1", testSpec{"mesa", 50}, time.Now())
+	s.AppendState("job-1", "done", "")
+	s.AppendSpec("job-2", testSpec{"bzip2", 50}, time.Now())
+
+	frames := reg.Counter("avfd_store_frames_total", "")
+	fsyncs := reg.Counter("avfd_store_fsyncs_total", "")
+	seq, wal, nf, ns := s.Seq(), s.WALBytes(), frames.Value(), fsyncs.Value()
+	for _, id := range []string{"job-9", "job-10", "job-11"} {
+		if err := s.Evict(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Seq() != seq || s.WALBytes() != wal || frames.Value() != nf || fsyncs.Value() != ns {
+		t.Fatalf("unknown evicts wrote: seq %d→%d, wal %d→%d, frames %d→%d, fsyncs %d→%d",
+			seq, s.Seq(), wal, s.WALBytes(), nf, frames.Value(), ns, fsyncs.Value())
+	}
+
+	if err := s.Evict("job-1"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Seq() != seq+1 || frames.Value() != nf+1 || fsyncs.Value() != ns+1 {
+		t.Fatalf("known evict: seq %d→%d, frames %d→%d, fsyncs %d→%d, want one frame",
+			seq, s.Seq(), nf, frames.Value(), ns, fsyncs.Value())
+	}
+	// A second evict of the same job is unknown by now.
+	if err := s.Evict("job-1"); err != nil || s.Seq() != seq+1 {
+		t.Fatalf("repeat evict: err %v, seq %d, want %d", err, s.Seq(), seq+1)
+	}
+	s.Close()
+
+	r := openT(t, dir, Options{})
+	if jobs := r.Jobs(); len(jobs) != 1 || jobs[0].ID != "job-2" {
+		t.Fatalf("after evict+reopen: %+v", jobs)
+	}
+	if r.Seq() != seq+1 {
+		t.Fatalf("reopened seq = %d, want %d", r.Seq(), seq+1)
+	}
+}
+
 // TestClosedStoreRejects: appends after Close fail with ErrClosed (the
 // crash-simulation hook the server tests use).
 func TestClosedStoreRejects(t *testing.T) {

@@ -8,7 +8,7 @@ GO ?= go
 PGOFILE := default.pgo
 GOFLAGS_PGO := $(if $(wildcard $(PGOFILE)),-pgo=$(abspath $(PGOFILE)),)
 
-.PHONY: all build test vet race check cover bench bench-json pgo report daemon clean
+.PHONY: all build test vet race check cover bench pgo report daemon clean
 
 all: check
 
@@ -37,11 +37,6 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-json appends the next BENCH_<n>.json performance report at the
-# repo root and prints regressions against the previous one.
-bench-json:
-	$(GO) run $(GOFLAGS_PGO) ./cmd/avfbench
 
 # pgo regenerates the committed PGO profile from a standard avfreport
 # run (fig3 exercises the full fused pipeline+softarch+estimator path).

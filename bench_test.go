@@ -12,6 +12,7 @@ package avfsim
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -183,52 +184,68 @@ func BenchmarkParallelGrid(b *testing.B) {
 	}
 }
 
-// obsBenchRun drives the Table 1 simulator plus estimator for a fixed
-// cycle count, with or without an observability sink attached, and
-// returns the estimator so callers can keep it live.
-func obsBenchRun(b *testing.B, cycles int, sink obs.Sink) *core.Estimator {
-	b.Helper()
+// obsLoop builds the Table 1 simulator on mesa with an attached
+// estimator (M=1000, N=100) that reports to sink, nil leaving
+// observability off, and returns a function stepping both for a number
+// of cycles: the hot loop whose observability cost
+// BenchmarkEstimatorObs and TestObsOverheadUnderFivePercent measure.
+func obsLoop(tb testing.TB, sink obs.Sink) func(cycles int) {
+	tb.Helper()
 	prof, err := workload.ByName("mesa")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := config.Default()
 	p, err := pipeline.New(&cfg, prof.MustSource(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e, err := core.NewEstimator(p, core.Options{M: 1000, N: 100, Sink: sink})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e.Attach()
-	for i := 0; i < cycles; i++ {
-		p.Step()
-		e.Tick()
+	return func(cycles int) {
+		for i := 0; i < cycles; i++ {
+			p.Step()
+			e.Tick()
+		}
 	}
-	return e
+}
+
+// tracingSink is the full avfd production path: a JobTracer forwarding
+// to per-structure Prometheus counters.
+func tracingSink() obs.Sink {
+	return obs.NewJobTracer(obs.NewInjectionCounters(obs.NewRegistry()), 0)
 }
 
 // BenchmarkEstimatorObs compares the estimator hot loop with
 // observability disabled (nil Sink — the default) against the full avfd
-// production path (JobTracer forwarding to per-structure Prometheus
-// counters). The "off" case is the one that must not regress vs a tree
-// without internal/obs; see EXPERIMENTS.md for recorded numbers.
+// production path (tracingSink). The "off" case is the one that must
+// not regress vs a tree without internal/obs; see EXPERIMENTS.md for
+// recorded numbers.
 func BenchmarkEstimatorObs(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
-		obsBenchRun(b, b.N, nil)
+		step := obsLoop(b, nil)
+		b.ResetTimer()
+		step(b.N)
 	})
 	b.Run("on", func(b *testing.B) {
-		reg := obs.NewRegistry()
-		tr := obs.NewJobTracer(obs.NewInjectionCounters(reg), 0)
-		obsBenchRun(b, b.N, tr)
+		step := obsLoop(b, tracingSink())
+		b.ResetTimer()
+		step(b.N)
 	})
 }
 
-// TestObsOverheadUnderFivePercent is the regression gate for the
-// tentpole's "near-zero overhead" requirement: the full tracing path
-// must cost < 5% over the untraced estimator. Min-of-several timing
-// keeps the comparison robust on noisy single-CPU CI hosts.
+// TestObsOverheadUnderFivePercent gates observability's "near-zero
+// overhead" requirement: the full tracing path must cost < 5% over the
+// untraced estimator. Each of five fresh (off, on) pairs steps both
+// sides through the same cycles in alternating chunks, flipping which
+// goes first, so host drift lands on both sides alike. A pair's
+// overhead is its median chunk, so a preempted chunk does not count,
+// and the median pair is gated, so neither does one instance's memory
+// layout: under a concurrent load a single pair's whole-run ratio
+// swings by more than three times the budget.
 func TestObsOverheadUnderFivePercent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -236,45 +253,39 @@ func TestObsOverheadUnderFivePercent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation multiplies atomic-op cost; the 5% budget is for production builds")
 	}
-	const cycles = 150_000
-	run := func(sink obs.Sink) time.Duration {
-		prof, err := workload.ByName("mesa")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := config.Default()
-		p, err := pipeline.New(&cfg, prof.MustSource(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := core.NewEstimator(p, core.Options{M: 1000, N: 100, Sink: sink})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Attach()
+	const (
+		pairs  = 5
+		cycles = 150_000
+		chunk  = 5_000
+	)
+	timed := func(step func(int)) time.Duration {
 		start := time.Now()
-		for i := 0; i < cycles; i++ {
-			p.Step()
-			e.Tick()
-		}
+		step(chunk)
 		return time.Since(start)
 	}
-	min := func(sink func() obs.Sink) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 5; i++ {
-			if d := run(sink()); d < best {
-				best = d
-			}
-		}
-		return best
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
 	}
-	off := min(func() obs.Sink { return nil })
-	on := min(func() obs.Sink {
-		return obs.NewJobTracer(obs.NewInjectionCounters(obs.NewRegistry()), 0)
-	})
-	overhead := float64(on-off) / float64(off)
-	t.Logf("obs-off %v, obs-on %v, overhead %.2f%%", off, on, overhead*100)
-	if overhead > 0.05 {
-		t.Errorf("observability overhead %.2f%% exceeds 5%% budget", overhead*100)
+	overheads := make([]float64, pairs)
+	for i := range overheads {
+		off, on := obsLoop(t, nil), obsLoop(t, tracingSink())
+		chunks := make([]float64, cycles/chunk)
+		for c := range chunks {
+			var offT, onT time.Duration
+			if c%2 == 0 {
+				offT = timed(off)
+				onT = timed(on)
+			} else {
+				onT = timed(on)
+				offT = timed(off)
+			}
+			chunks[c] = float64(onT-offT) / float64(offT)
+		}
+		overheads[i] = median(chunks)
+		t.Logf("pair %d: overhead %.2f%%", i, overheads[i]*100)
+	}
+	if m := median(overheads); m > 0.05 {
+		t.Errorf("median observability overhead %.2f%% exceeds 5%% budget", m*100)
 	}
 }

@@ -217,7 +217,7 @@ type Estimator struct {
 	muxTurn int
 
 	// concluded counts every concluded injection across all structures
-	// and lanes — the AVF-estimate throughput numerator avfbench reports.
+	// and lanes — what bench/ reports as its core.injections metric.
 	concluded int64
 
 	// Multi-lane engine state (lanes.go); laneMode gates Tick's dispatch.
@@ -461,8 +461,8 @@ func (e *Estimator) PendingInjections(s pipeline.Structure) int {
 
 // ConcludedInjections returns the total number of injections concluded
 // so far across all structures and lanes — the numerator of the
-// AVF-estimate throughput metric (injections per wall-second) avfbench
-// tracks across lane counts.
+// AVF-estimate throughput (injections per wall-second) that bench/
+// reports as inj_per_s, and its core.injections metric.
 func (e *Estimator) ConcludedInjections() int64 { return e.concluded }
 
 // Lanes returns the configured lane count (1 for the classic estimator).

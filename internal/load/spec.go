@@ -101,11 +101,11 @@ type JobTemplate struct {
 	Seed      uint64  `json:"seed,omitempty"`
 	// SeedStride varies the job seed per submission (seed + i*stride for
 	// the client's i-th arrival): 0 submits identical jobs every time.
-	SeedStride      uint64   `json:"seed_stride,omitempty"`
-	M               int64    `json:"m,omitempty"`
-	N               int      `json:"n,omitempty"`
-	Intervals       int      `json:"intervals,omitempty"`
-	Structures      []string `json:"structures,omitempty"`
+	SeedStride uint64   `json:"seed_stride,omitempty"`
+	M          int64    `json:"m,omitempty"`
+	N          int      `json:"n,omitempty"`
+	Intervals  int      `json:"intervals,omitempty"`
+	Structures []string `json:"structures,omitempty"`
 	// Lanes > 1 submits multi-lane jobs (see the avfd lanes field):
 	// concurrent injection experiments sharing one cycle loop.
 	Lanes  int  `json:"lanes,omitempty"`

@@ -261,7 +261,7 @@ func TestCoverageReconcilesClassic(t *testing.T) {
 func TestCoverageReconcilesLanes(t *testing.T) {
 	const lanes = 16
 	p, e, c, tally := instrument(t, core.Options{M: 50, N: 50, Lanes: lanes}, Config{})
-	drive(p, e, 50 * 50 * 2)
+	drive(p, e, 50*50*2)
 	if c.Concluded() == 0 {
 		t.Fatal("no injections concluded")
 	}

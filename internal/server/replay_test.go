@@ -173,6 +173,15 @@ func TestRecoveredTerminalStreamReplaysInOneWrite(t *testing.T) {
 	if s := waitTerminal(t, ts, id, 30*time.Second); s.State != "done" {
 		t.Fatalf("run state = %q", s.State)
 	}
+	// The watcher persists the terminal state after it is visible; wait
+	// for it to land before "crashing", or the next boot resumes the job
+	// and streams it live.
+	for deadline := time.Now().Add(10 * time.Second); !storedTerminal(st.Jobs(), id); {
+		if time.Now().After(deadline) {
+			t.Fatal("terminal state never persisted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	ref := streamBytes(t, ts, id)
 	ts.Close()
 	st.Close()
@@ -183,6 +192,16 @@ func TestRecoveredTerminalStreamReplaysInOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOneShotReplay(t, srv2, id, ref)
+}
+
+// storedTerminal reports whether jobs holds job id in a terminal state.
+func storedTerminal(jobs []store.JobRecord, id string) bool {
+	for _, jr := range jobs {
+		if jr.ID == id {
+			return jr.Terminal()
+		}
+	}
+	return false
 }
 
 // lockedBuffer is a bytes.Buffer safe for a logger writing from server

@@ -405,14 +405,14 @@ func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:        j.id,
-		State:     j.state(),
-		Benchmark: j.spec.Benchmark,
-		Submitted: j.submitted,
-		Intervals: append([]IntervalPoint(nil), j.points...),
-		Result:    j.result,
-		Error:     j.errMsg,
-		TraceID:   j.traceID(),
+		ID:          j.id,
+		State:       j.state(),
+		Benchmark:   j.spec.Benchmark,
+		Submitted:   j.submitted,
+		Intervals:   append([]IntervalPoint(nil), j.points...),
+		Result:      j.result,
+		Error:       j.errMsg,
+		TraceID:     j.traceID(),
 		Cached:      j.cached,
 		CacheLeader: j.cacheLeader,
 	}

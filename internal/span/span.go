@@ -79,8 +79,8 @@ func fillRand(b []byte) {
 
 // ParseTraceparent parses a W3C traceparent header
 // ("00-<32 hex>-<16 hex>-<2 hex>") into its trace ID, parent span ID,
-// and flags. Only version 00 is accepted; all-zero trace or span IDs
-// are rejected as the spec requires.
+// and flags. Only version 00 is accepted; uppercase hex digits and
+// all-zero trace or span IDs are rejected as the spec requires.
 func ParseTraceparent(s string) (TraceID, SpanID, byte, error) {
 	var t TraceID
 	var p SpanID
@@ -93,14 +93,14 @@ func ParseTraceparent(s string) (TraceID, SpanID, byte, error) {
 	if s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return t, p, 0, fmt.Errorf("span: malformed traceparent %q", s)
 	}
-	if _, err := hex.Decode(t[:], []byte(s[3:35])); err != nil {
+	if err := decodeLowerHex(t[:], s[3:35]); err != nil {
 		return t, p, 0, fmt.Errorf("span: bad trace id: %w", err)
 	}
-	if _, err := hex.Decode(p[:], []byte(s[36:52])); err != nil {
+	if err := decodeLowerHex(p[:], s[36:52]); err != nil {
 		return t, p, 0, fmt.Errorf("span: bad parent span id: %w", err)
 	}
 	var fb [1]byte
-	if _, err := hex.Decode(fb[:], []byte(s[53:55])); err != nil {
+	if err := decodeLowerHex(fb[:], s[53:55]); err != nil {
 		return t, p, 0, fmt.Errorf("span: bad trace flags: %w", err)
 	}
 	if t.IsZero() {
@@ -110,6 +110,19 @@ func ParseTraceparent(s string) (TraceID, SpanID, byte, error) {
 		return t, p, 0, fmt.Errorf("span: all-zero parent span id is invalid")
 	}
 	return t, p, fb[0], nil
+}
+
+// decodeLowerHex decodes s into dst. Trace context defines every
+// traceparent field as lowercase hex (HEXDIGLC), so unlike hex.Decode
+// it rejects the digits A-F.
+func decodeLowerHex(dst []byte, s string) error {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; 'A' <= c && c <= 'F' {
+			return fmt.Errorf("uppercase hex digit %q at offset %d", c, i)
+		}
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err
 }
 
 // FormatTraceparent renders a version-00 traceparent header.

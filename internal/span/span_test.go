@@ -52,12 +52,35 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span
 		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01", // non-hex
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // separator
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", // uppercase span id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", // uppercase flags
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01", // all uppercase
 	}
 	for _, s := range bad {
 		if _, _, _, err := ParseTraceparent(s); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted invalid input", s)
 		}
 	}
+}
+
+// FuzzParseTraceparent checks that every input either fails to parse
+// or names two non-zero IDs and formats back to itself byte for byte:
+// the parser accepts exactly the headers FormatTraceparent emits. The
+// seed corpus is in testdata/fuzz/FuzzParseTraceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		tid, sid, flags, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("ParseTraceparent(%q) accepted an all-zero ID", s)
+		}
+		if got := FormatTraceparent(tid, sid, flags); got != s {
+			t.Fatalf("ParseTraceparent(%q) formats back as %q", s, got)
+		}
+	})
 }
 
 func TestMintIDsNonZeroAndDistinct(t *testing.T) {

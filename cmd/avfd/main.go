@@ -35,9 +35,10 @@
 // objectives with a JSON object of the form
 // {"critical":{"latency_seconds":60,"target":0.999}, ...}.
 //
-// With -data-dir, jobs are durable: specs, state transitions, every
-// per-interval estimate, and final series are appended to a CRC-framed
-// fsync'd WAL (compacted into a snapshot as it grows). After a crash or
+// With -data-dir, jobs are durable: specs, every per-interval estimate,
+// and one terminal frame per finished job (state, final series, span
+// summary) are appended to a CRC-framed fsync'd WAL (compacted into a
+// snapshot as it grows). After a crash or
 // restart the daemon replays the log, restores terminal jobs read-only,
 // and re-enqueues interrupted ones — the simulator is deterministic in
 // (spec, seed), so a resumed job emits the remaining intervals exactly
@@ -55,8 +56,8 @@
 // /debug/pprof/ (CPU profile, heap, goroutines, execution trace).
 //
 // On SIGTERM/SIGINT the daemon stops accepting work and drains running
-// jobs for up to -drain, then cancels whatever is left (persisted as
-// "interrupted" — resumed at next boot when durable) and exits.
+// jobs for up to -drain, then cancels whatever is left (left unfinished
+// in the WAL — resumed at next boot when durable) and exits.
 package main
 
 import (
@@ -214,7 +215,7 @@ func main() {
 	logger.Info("shutting down", "drain", *drain)
 
 	// From here on a canceled job is a checkpoint, not a client verdict:
-	// it persists as "interrupted" and the next boot resumes it.
+	// it persists no terminal frame and the next boot resumes it.
 	srv.BeginDrain()
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -234,13 +235,10 @@ func main() {
 		logger.Warn("drain deadline hit; canceled remaining jobs")
 	}
 	httpSrv.Close()
+	// Close returns once every ended job's terminal frame is written, so
+	// the WAL can be sealed right after it.
 	srv.Close()
 	if st != nil {
-		// The watcher goroutines append each job's terminal frame right
-		// after its task goes terminal; give the stragglers a beat before
-		// sealing the WAL. A frame that misses the window is harmless —
-		// the job stays "running" in the log, which also resumes.
-		time.Sleep(200 * time.Millisecond)
 		if err := st.Close(); err != nil {
 			logger.Error("close job store", "error", err)
 		}

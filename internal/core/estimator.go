@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"avfsim/internal/isa"
 	"avfsim/internal/obs"
@@ -53,22 +52,6 @@ type Options struct {
 	// buffering the whole series; the batch accessors (Estimates,
 	// AVFSeries) are unaffected.
 	OnInterval func(Estimate)
-	// OnIntervalSpan, when non-nil, receives the wall-clock start and
-	// end instants of each completed estimation interval alongside the
-	// estimate — the hook behind per-interval tracing spans. It fires
-	// under the same StartInterval gating as OnInterval. When nil (the
-	// default) the hot path pays only nil checks and never reads the
-	// clock, preserving the zero-allocation guarantee.
-	OnIntervalSpan func(est Estimate, wallStart, wallEnd time.Time)
-	// StartInterval suppresses OnInterval for estimates whose Interval is
-	// below it. It is the deterministic fast-forward behind checkpoint
-	// resume: the simulation is a pure function of (spec, seed), so a
-	// restarted run re-executes from cycle 0 — re-deriving the RNG stream,
-	// trace position, and pipeline state exactly — and this field keeps
-	// already-delivered intervals from being emitted twice. Intervals
-	// k..N of a resumed run are byte-identical to an uninterrupted run's.
-	// The batch accessors still hold the full series.
-	StartInterval int
 	// Sink, when non-nil, receives one obs.Injection lifecycle record
 	// per concluded injection (structure, entry, inject cycle, outcome,
 	// propagation latency, failure instruction class, live error-bit
@@ -115,9 +98,6 @@ func (o *Options) validate() error {
 	}
 	if o.N <= 0 {
 		return errors.New("core: Options.N must be positive")
-	}
-	if o.StartInterval < 0 {
-		return errors.New("core: Options.StartInterval must be non-negative")
 	}
 	if len(o.Structures) == 0 {
 		o.Structures = append([]pipeline.Structure(nil), pipeline.PaperStructures...)
@@ -187,9 +167,6 @@ type structState struct {
 	failures    int
 	intervalIdx int
 	startCycle  int64
-	// wallStart is the wall-clock start of the current interval,
-	// maintained only when OnIntervalSpan is set.
-	wallStart time.Time
 
 	// Failure details for the lifecycle record (valid while failed,
 	// written only when a Sink is attached).
@@ -239,9 +216,6 @@ func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
 			entries:    p.StructureEntries(s),
 			injectedAt: -1,
 			startCycle: p.Cycle(),
-		}
-		if opt.OnIntervalSpan != nil {
-			st.wallStart = time.Now()
 		}
 		e.states[s] = st
 		e.active = append(e.active, st)
@@ -362,15 +336,8 @@ func (e *Estimator) conclude(st *structState, cycle int64) {
 		st.injections = 0
 		st.failures = 0
 		st.startCycle = cycle
-		if e.opt.OnInterval != nil && est.Interval >= e.opt.StartInterval {
+		if e.opt.OnInterval != nil {
 			e.opt.OnInterval(est)
-		}
-		if e.opt.OnIntervalSpan != nil {
-			wallEnd := time.Now()
-			if est.Interval >= e.opt.StartInterval {
-				e.opt.OnIntervalSpan(est, st.wallStart, wallEnd)
-			}
-			st.wallStart = wallEnd
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"time"
 
 	"avfsim/internal/isa"
 	"avfsim/internal/obs"
@@ -190,15 +189,8 @@ func (e *Estimator) concludeLane(i int, ln *laneState, cycle int64) {
 		st.injections = 0
 		st.failures = 0
 		st.startCycle = cycle
-		if e.opt.OnInterval != nil && est.Interval >= e.opt.StartInterval {
+		if e.opt.OnInterval != nil {
 			e.opt.OnInterval(est)
-		}
-		if e.opt.OnIntervalSpan != nil {
-			wallEnd := time.Now()
-			if est.Interval >= e.opt.StartInterval {
-				e.opt.OnIntervalSpan(est, st.wallStart, wallEnd)
-			}
-			st.wallStart = wallEnd
 		}
 	}
 }

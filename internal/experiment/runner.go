@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"avfsim/internal/config"
 	"avfsim/internal/core"
@@ -71,17 +70,6 @@ type RunConfig struct {
 	// as the estimator completes it (see core.Options.OnInterval). It
 	// is called from the goroutine driving the run.
 	OnInterval func(core.Estimate)
-	// OnIntervalSpan, when non-nil, additionally receives the
-	// wall-clock start/end of each completed interval (see
-	// core.Options.OnIntervalSpan) — the per-interval tracing span
-	// hook. Subject to the same StartInterval gating as OnInterval.
-	OnIntervalSpan func(est core.Estimate, wallStart, wallEnd time.Time)
-	// StartInterval suppresses OnInterval below the given interval index
-	// (see core.Options.StartInterval): the checkpoint-resume
-	// fast-forward. The run still simulates from cycle 0 — determinism
-	// makes the replayed prefix exact — and Result carries the full
-	// series either way.
-	StartInterval int
 	// Sink, when non-nil, receives one lifecycle record per concluded
 	// injection (see core.Options.Sink) — the avfd trace endpoint and
 	// the per-structure outcome counters hang off it.
@@ -113,7 +101,7 @@ func (c *RunConfig) defaults() error {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.M < 0 || c.N < 0 || c.Intervals < 0 || c.Scale < 0 || c.Scale > 1 || c.StartInterval < 0 {
+	if c.M < 0 || c.N < 0 || c.Intervals < 0 || c.Scale < 0 || c.Scale > 1 {
 		return errors.New("experiment: negative or out-of-range run parameters")
 	}
 	if len(c.Structures) == 0 {
@@ -324,8 +312,6 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		Multiplex:      rc.Multiplex,
 		Lanes:          rc.Lanes,
 		OnInterval:     onInterval,
-		OnIntervalSpan: rc.OnIntervalSpan,
-		StartInterval:  rc.StartInterval,
 		Sink:           sink,
 		OnConcludeScan: onConcludeScan,
 	})

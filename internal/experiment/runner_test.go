@@ -292,13 +292,13 @@ func TestConvergencePropertyRandomProfiles(t *testing.T) {
 	}
 }
 
-// TestStartIntervalResumeDeterminism is the checkpoint-resume gate at
-// the runner level: a run with StartInterval = k emits, through
-// OnInterval, exactly the k..N suffix of the uninterrupted run's
-// estimate stream — identical values, identical order — and its final
-// Result series still carries the full, identical series. This is the
-// determinism argument avfd's WAL recovery rests on.
-func TestStartIntervalResumeDeterminism(t *testing.T) {
+// TestRerunDeterminism is the checkpoint-resume gate at the runner
+// level: two runs of one config emit, through OnInterval, the same
+// estimate stream — identical values, identical order — and the same
+// final Result series. avfd's WAL recovery rests on this: a resumed job
+// re-executes from cycle 0 and drops the intervals its WAL already
+// holds, so the suffix it emits is the uninterrupted run's.
+func TestRerunDeterminism(t *testing.T) {
 	base := RunConfig{Benchmark: "bzip2", Scale: 0.02, Seed: 3, M: 400, N: 50, Intervals: 4}
 
 	collect := func(rc RunConfig) ([]core.Estimate, *Result) {
@@ -313,45 +313,27 @@ func TestStartIntervalResumeDeterminism(t *testing.T) {
 
 	fullEsts, fullRes := collect(base)
 	if len(fullEsts) != 4*len(pipeline.PaperStructures) {
-		t.Fatalf("uninterrupted run emitted %d estimates, want %d", len(fullEsts), 4*len(pipeline.PaperStructures))
+		t.Fatalf("run emitted %d estimates, want %d", len(fullEsts), 4*len(pipeline.PaperStructures))
 	}
-
-	resumed := base
-	resumed.StartInterval = 2
-	resEsts, resRes := collect(resumed)
-
-	var wantSuffix []core.Estimate
-	for _, e := range fullEsts {
-		if e.Interval >= 2 {
-			wantSuffix = append(wantSuffix, e)
+	againEsts, againRes := collect(base)
+	if len(againEsts) != len(fullEsts) {
+		t.Fatalf("rerun emitted %d estimates, want %d", len(againEsts), len(fullEsts))
+	}
+	for i := range fullEsts {
+		if againEsts[i] != fullEsts[i] {
+			t.Fatalf("rerun estimate %d = %+v, want %+v", i, againEsts[i], fullEsts[i])
 		}
 	}
-	if len(resEsts) != len(wantSuffix) {
-		t.Fatalf("resumed run emitted %d estimates, want %d", len(resEsts), len(wantSuffix))
-	}
-	for i := range wantSuffix {
-		if resEsts[i] != wantSuffix[i] {
-			t.Fatalf("resumed estimate %d = %+v, want %+v", i, resEsts[i], wantSuffix[i])
-		}
-	}
-
-	// The final series is recomputed in full by the resumed run and must
-	// be byte-identical to the uninterrupted one.
 	for i, ss := range fullRes.Series {
-		rs := resRes.Series[i]
+		rs := againRes.Series[i]
 		if ss.Structure != rs.Structure {
 			t.Fatalf("series %d structure %v != %v", i, ss.Structure, rs.Structure)
 		}
 		for k := range ss.Online {
 			if ss.Online[k] != rs.Online[k] || ss.Reference[k] != rs.Reference[k] {
-				t.Fatalf("%v interval %d: resumed (%v,%v) != full (%v,%v)",
+				t.Fatalf("%v interval %d: rerun (%v,%v) != first run (%v,%v)",
 					ss.Structure, k, rs.Online[k], rs.Reference[k], ss.Online[k], ss.Reference[k])
 			}
 		}
-	}
-
-	// Negative StartInterval is a config error.
-	if _, err := Run(RunConfig{Benchmark: "mesa", StartInterval: -1}); err == nil {
-		t.Error("negative StartInterval accepted")
 	}
 }

@@ -17,8 +17,6 @@ import (
 	"avfsim/internal/cache"
 	"avfsim/internal/obs"
 	"avfsim/internal/sched"
-	"avfsim/internal/span"
-	"avfsim/internal/store"
 )
 
 // cacheValue is one cached terminal run: the leader's job ID (surfaced
@@ -105,60 +103,18 @@ func (s *Server) registerCacheMetrics() {
 	})
 }
 
-// openSubmitTrace mints/adopts the job's trace and opens its root span —
-// the cache-served analog of launch's trace block, so hits and
-// followers carry the same trace identity a dispatched job would.
-func (s *Server) openSubmitTrace(j *job, class sched.Class) {
-	if s.spans == nil {
-		return
-	}
-	if t, p, _, err := span.ParseTraceparent(j.spec.Traceparent); err == nil {
-		j.trace, j.parentSpan = t, p
-	} else {
-		j.trace, j.parentSpan = span.MintTraceID(), span.SpanID{}
-	}
-	j.root = s.spans.StartAt(j.trace, j.parentSpan, "job", j.submitted)
-	j.root.SetJob(j.id, class.String())
-	j.spec.Traceparent = span.FormatTraceparent(j.trace, j.root.ID(), 0x01)
-}
-
 // serveCacheHit finishes a submission entirely from the cache: the job
 // is born terminal with the cached points and result, replaying the
-// original NDJSON stream byte-identically, in microseconds.
+// original NDJSON stream byte-identically, in microseconds. It writes
+// nothing to the store.
 func (s *Server) serveCacheHit(w http.ResponseWriter, j *job, v *cacheValue, class sched.Class, admitStart time.Time) {
-	now := time.Now()
-	j.mu.Lock()
-	j.points = v.Points
-	j.result = v.Result
-	j.cached = true
-	j.cacheLeader = v.Leader
-	j.ended = true
-	j.stateOverride = "done"
-	j.finishedAt = now
-	j.mu.Unlock()
-
-	s.openSubmitTrace(j, class)
-	if adm := s.spans.StartAt(j.trace, j.root.ID(), "admission", admitStart); adm != nil {
-		adm.SetJob(j.id, class.String())
-		adm.End("ok")
-	}
-	if j.root != nil {
-		j.root.SetAttr("cache", "hit")
-		j.root.SetAttr("cache_leader", v.Leader)
-		j.root.End("done")
-	}
-
-	lat := time.Since(admitStart).Seconds()
-	if s.slo != nil {
-		s.slo.Record(class.String(), "done", lat, j.id, j.traceID())
-	}
+	s.openTrace(j, class)
+	s.admitted(j, class, admitStart, "ok")
+	j.root.SetAttr("cache", "hit")
+	j.root.SetAttr("cache_leader", v.Leader)
+	s.finishFromCache(j, v, ending{kind: endHit, start: admitStart})
 	s.pool.NoteBypass(class)
-	s.cacheMetrics.ObserveHit(lat)
-
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	s.maybeSweep()
+	s.cacheMetrics.ObserveHit(time.Since(admitStart).Seconds())
 
 	// Debug level: at consumer-scale duplicate traffic this is the
 	// common case, and an Info line per hit would out-write the WAL.
@@ -173,10 +129,10 @@ func (s *Server) serveCacheHit(w http.ResponseWriter, j *job, v *cacheValue, cla
 
 // serveFollower attaches a submission to an identical in-flight run.
 // The follower keeps its own job ID, span, and SLO accounting; the
-// leader's live stream fans into it, and the leader's terminal state
-// finishes it.
+// leader's live stream fans into it, and the leader's terminal
+// transition finishes it.
 func (s *Server) serveFollower(w http.ResponseWriter, j *job, fl *cache.Flight, class sched.Class, admitStart time.Time) {
-	s.openSubmitTrace(j, class)
+	s.openTrace(j, class)
 	if err := fl.Resolve(); err != nil {
 		// The leader never launched: the same admission verdict (queue
 		// full, shutdown) applies to an identical spec submitted at the
@@ -191,26 +147,13 @@ func (s *Server) serveFollower(w http.ResponseWriter, j *job, fl *cache.Flight, 
 		return
 	}
 
-	if adm := s.spans.StartAt(j.trace, j.root.ID(), "admission", admitStart); adm != nil {
-		adm.SetJob(j.id, class.String())
-		adm.End("ok")
-	}
-	if j.root != nil {
-		j.root.SetAttr("cache", "follow")
-		j.root.SetAttr("cache_leader", leader.id)
-	}
-	j.mu.Lock()
-	j.cacheLeader = leader.id
-	j.mu.Unlock()
-
-	state := s.attachFollower(j, leader)
+	s.admitted(j, class, admitStart, "ok")
+	s.attachFollower(j, leader)
 	s.pool.NoteBypass(class)
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
+	s.register(j)
 
 	s.log.Debug("job collapsed onto in-flight run", "job", j.id, "leader", leader.id)
-	resp := map[string]any{"id": j.id, "state": state, "singleflight": true, "cache_leader": leader.id}
+	resp := map[string]any{"id": j.id, "state": j.currentState(), "singleflight": true, "cache_leader": leader.id}
 	if tid := j.traceID(); tid != "" {
 		resp["trace_id"] = tid
 		w.Header().Set("traceparent", j.spec.Traceparent)
@@ -218,80 +161,40 @@ func (s *Server) serveFollower(w http.ResponseWriter, j *job, fl *cache.Flight, 
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// attachFollower joins j to leader's live run — or directly to its
-// terminal state when the leader ended between flight resolution and
-// here. Returns the follower's state for the submit response.
-func (s *Server) attachFollower(j, leader *job) string {
+// attachFollower joins j to leader's live run — or finishes it with the
+// leader's outcome when the leader ended between flight resolution and
+// here.
+func (s *Server) attachFollower(j, leader *job) {
+	j.root.SetAttr("cache", "follow")
+	j.root.SetAttr("cache_leader", leader.id)
 	leader.mu.Lock()
-	if leader.ended {
-		state := leader.state()
-		msg := leader.errMsg
-		res := leader.result
-		pts := append([]IntervalPoint(nil), leader.points...)
+	pts := append([]IntervalPoint(nil), leader.points...)
+	if terminal(leader.state) {
+		e := ending{kind: endFollower, state: leader.state, errMsg: leader.errMsg, result: leader.result}
 		leader.mu.Unlock()
 		j.mu.Lock()
-		j.points = pts
+		j.cacheLeader, j.points = leader.id, pts
 		j.mu.Unlock()
-		s.finishFollower(j, state, msg, res)
-		return state
+		s.finish(j, e)
+		return
 	}
-	state := leader.state()
 	j.mu.Lock()
-	j.points = append([]IntervalPoint(nil), leader.points...)
-	j.leader = leader
+	j.cacheLeader, j.points, j.state, j.leader = leader.id, pts, leader.state, leader
 	j.mu.Unlock()
 	leader.followers = append(leader.followers, j)
 	leader.mu.Unlock()
-	return state
-}
-
-// finishFollower makes a follower terminal with its leader's outcome
-// (its own span and SLO accounting, excluding client cancels, as
-// everywhere else).
-func (s *Server) finishFollower(f *job, state, msg string, res *JobResult) {
-	f.mu.Lock()
-	f.stateOverride = state
-	f.result = res
-	f.leader = nil
-	f.mu.Unlock()
-	f.end(msg)
-	lat := time.Since(f.submitted).Seconds()
-	if f.root != nil {
-		f.root.SetAttr("latency_seconds", strconv.FormatFloat(lat, 'g', 6, 64))
-		f.root.End(state)
-	}
-	if s.slo != nil && state != "canceled" {
-		s.slo.Record(f.className(), state, lat, f.id, f.traceID())
-	}
-	s.maybeSweep()
-}
-
-// endFollowers finishes every follower still attached when the leader
-// went terminal. Followers attaching after leader.ended flipped finalize
-// inline in attachFollower, so no follower is ever orphaned.
-func (s *Server) endFollowers(leader *job) {
-	leader.mu.Lock()
-	fs := leader.followers
-	leader.followers = nil
-	state := leader.state()
-	msg := leader.errMsg
-	res := leader.result
-	leader.mu.Unlock()
-	for _, f := range fs {
-		s.finishFollower(f, state, msg, res)
-	}
 }
 
 // detachFollower handles DELETE on a follower: it detaches from the
 // leader (which keeps running — other followers and the leader's own
 // client still want it) and goes terminal canceled. Removal from the
-// leader's list is the ownership point racing endFollowers.
-func (s *Server) detachFollower(f *job) bool {
+// leader's list is the ownership point racing the leader's finish.
+func (s *Server) detachFollower(f *job) {
 	f.mu.Lock()
 	l := f.leader
 	f.mu.Unlock()
 	if l == nil {
-		return false
+		return
 	}
 	l.mu.Lock()
 	removed := false
@@ -303,22 +206,21 @@ func (s *Server) detachFollower(f *job) bool {
 		}
 	}
 	l.mu.Unlock()
-	if !removed {
-		return false // the leader's terminal path owns this follower
+	if removed { // otherwise the leader's finish owns this follower
+		s.finish(f, ending{kind: endFollower, state: "canceled"})
 	}
-	s.finishFollower(f, "canceled", "", nil)
-	return true
 }
 
 // settleCache resolves a leader's (or populate-only run's) cache
 // obligations at terminal: done runs publish their value durably;
 // anything else drops the flight so the next identical submission
 // re-runs.
-func (s *Server) settleCache(j *job, done bool) {
+func (s *Server) settleCache(j *job, e *ending) {
 	if s.cache == nil || (!j.cacheLead && !j.cachePopulate) {
 		return
 	}
-	if !done {
+	// A done task without a result cannot be replayed faithfully.
+	if e.state != "done" || e.result == nil {
 		if j.cacheLead {
 			s.cache.Drop(j.cacheKey)
 		}
@@ -328,16 +230,9 @@ func (s *Server) settleCache(j *job, done bool) {
 	v := &cacheValue{
 		Leader: j.id,
 		Points: append([]IntervalPoint(nil), j.points...),
-		Result: j.result,
+		Result: e.result,
 	}
 	j.mu.Unlock()
-	if v.Result == nil {
-		// A done task without a result cannot be replayed faithfully.
-		if j.cacheLead {
-			s.cache.Drop(j.cacheKey)
-		}
-		return
-	}
 	var evicted []cache.Key
 	if j.cacheLead {
 		evicted = s.cache.Complete(j.cacheKey, v)
@@ -345,13 +240,9 @@ func (s *Server) settleCache(j *job, done bool) {
 		evicted = s.cache.Put(j.cacheKey, v)
 	}
 	if s.st != nil {
-		if err := s.st.AppendCacheResult(j.cacheKey.String(), v); err != nil && !errors.Is(err, store.ErrClosed) {
-			s.log.Error("persist cache entry", "job", j.id, "error", err)
-		}
+		s.logPersist("persist cache entry", j.id, s.st.AppendCacheResult(j.cacheKey.String(), v))
 		for _, k := range evicted {
-			if err := s.st.EvictCacheEntry(k.String()); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("evict cache entry", "key", k.String(), "error", err)
-			}
+			s.logPersist("evict cache entry", k.String(), s.st.EvictCacheEntry(k.String()))
 		}
 	}
 }
@@ -422,9 +313,7 @@ func (s *Server) recoverCacheEntries() {
 			continue
 		}
 		for _, ev := range s.cache.Put(k, &v) {
-			if err := s.st.EvictCacheEntry(ev.String()); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("evict cache entry", "key", ev.String(), "error", err)
-			}
+			s.logPersist("evict cache entry", ev.String(), s.st.EvictCacheEntry(ev.String()))
 		}
 		n++
 	}
@@ -433,17 +322,13 @@ func (s *Server) recoverCacheEntries() {
 	}
 }
 
-// recoverThroughCache routes a recovered non-terminal job through the
+// recoverThroughCache routes a recovered unfinished job through the
 // cache exactly like a fresh submission — Recover walks jobs in
 // submission order, so duplicates restore from the cache (hit) or
 // collapse onto the already-relaunched identical run (follower) instead
 // of re-executing. Returns true when the job was fully served and must
-// not launch.
-//
-// A follower recovered this way finishes in memory only; its WAL record
-// stays non-terminal until the next boot, where it resolves as a cache
-// hit and restoreFromCache persists the terminal frames. Either way no
-// run is repeated: the cache entry (or a fresh leader) covers it.
+// not launch. Either way the job ends through finish, which persists the
+// points the WAL lacks and its terminal frame.
 func (s *Server) recoverThroughCache(j *job) bool {
 	if s.cache == nil {
 		return false
@@ -470,18 +355,9 @@ func (s *Server) recoverThroughCache(j *job) bool {
 			if !ok || leader == nil {
 				continue
 			}
-			class, cerr := j.spec.class()
-			if cerr != nil {
-				class = sched.ClassStandard
-			}
-			s.openSubmitTrace(j, class)
-			j.mu.Lock()
-			j.cacheLeader = leader.id
-			j.mu.Unlock()
+			s.openTrace(j, j.class())
 			s.attachFollower(j, leader)
-			s.mu.Lock()
-			s.jobs[j.id] = j
-			s.mu.Unlock()
+			s.register(j)
 			s.log.Info("recovered job collapsed onto identical run",
 				"job", j.id, "leader", leader.id)
 			return true
@@ -493,45 +369,22 @@ func (s *Server) recoverThroughCache(j *job) bool {
 }
 
 // restoreFromCache finishes a recovered job directly from a cached
-// value, preserving the WAL invariant (every interval a client can read
-// is durable) by appending the frames the crash cut off, then the
-// result and terminal state.
+// value. The job's persisted points are a prefix of the cached series
+// (the simulator is deterministic), so finish appends the frames the
+// crash cut off, then the terminal frame.
 func (s *Server) restoreFromCache(j *job, v *cacheValue) {
-	persisted := len(j.points)
-	if persisted > len(v.Points) {
-		persisted = len(v.Points)
-	}
-	j.mu.Lock()
-	j.points = v.Points
-	j.result = v.Result
-	j.cached = true
-	j.cacheLeader = v.Leader
-	j.ended = true
-	j.stateOverride = "done"
-	j.finishedAt = time.Now()
-	j.mu.Unlock()
-	if s.st != nil {
-		for i := persisted; i < len(v.Points); i++ {
-			pt := v.Points[i]
-			if err := s.st.AppendInterval(j.id, &pt); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("persist recovered interval", "job", j.id, "error", err)
-				break
-			}
-		}
-		if v.Result != nil {
-			if err := s.st.AppendResult(j.id, v.Result); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("persist recovered result", "job", j.id, "error", err)
-			}
-		}
-		if err := s.st.AppendState(j.id, "done", ""); err != nil && !errors.Is(err, store.ErrClosed) {
-			s.log.Error("persist recovered state", "job", j.id, "error", err)
-		}
-	}
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
+	s.finishFromCache(j, v, ending{kind: endCacheRestore})
 	s.log.Info("job recovered from result cache",
 		"job", j.id, "leader", v.Leader, "intervals", len(v.Points))
+}
+
+// finishFromCache ends a job not yet registered with a cached run's
+// series, then registers it: the job is born terminal.
+func (s *Server) finishFromCache(j *job, v *cacheValue, e ending) {
+	j.points, j.cached, j.cacheLeader = v.Points, true, v.Leader
+	e.state, e.result = "done", v.Result
+	s.finish(j, e)
+	s.register(j)
 }
 
 // sweepBatch triggers an asynchronous retention sweep once this many

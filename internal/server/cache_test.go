@@ -465,9 +465,9 @@ func TestRetentionPinsLiveReaders(t *testing.T) {
 
 	now := time.Now()
 	old := &job{id: "job-1", subs: map[chan IntervalPoint]struct{}{},
-		ended: true, finishedAt: now.Add(-time.Hour)}
+		state: "done", finishedAt: now.Add(-time.Hour)}
 	fresh := &job{id: "job-2", subs: map[chan IntervalPoint]struct{}{},
-		ended: true, finishedAt: now}
+		state: "done", finishedAt: now}
 	srv.mu.Lock()
 	srv.jobs[old.id], srv.jobs[fresh.id] = old, fresh
 	srv.mu.Unlock()

@@ -8,6 +8,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -69,22 +70,9 @@ func (s *Server) feedDivergence(benchmark string, result *JobResult) {
 // NDJSON: one trace per line (inject → hops → conclusion), plus a
 // trailing summary line when the ring dropped events.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r)
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if j.flight == nil {
-		writeError(w, http.StatusNotFound, "flight recording disabled; submit with \"flight\": true")
-		return
-	}
-	j.pin()
-	defer j.unpin()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	s.armStreamWrite(w)() // one bulk write: a single rolling deadline
-	j.flight.Traces().WriteNDJSON(w)
+	s.serveNDJSON(w, r, `flight recording disabled; submit with "flight": true`,
+		func(j *job) bool { return j.flight != nil },
+		func(w io.Writer, j *job) { j.flight.Traces().WriteNDJSON(w) })
 }
 
 // handleDrift serves the drift monitor's full state: every stream's

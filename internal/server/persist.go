@@ -1,31 +1,29 @@
 package server
 
 // Recovery and retention: rebuilding the job table from the WAL after a
-// restart (terminal jobs restored read-only, interrupted jobs resumed
-// via the deterministic StartInterval fast-forward) and bounding the
-// job history (TTL + max-completed cap).
+// restart (terminal jobs restored read-only, unfinished jobs resumed by
+// deterministic re-execution) and bounding the job history (TTL +
+// max-completed cap).
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"avfsim/internal/pipeline"
 	"avfsim/internal/span"
-	"avfsim/internal/store"
 )
 
 // Recover rebuilds the job table from the store after a restart. Call
 // it once, after New and before serving traffic:
 //
-//   - terminal jobs (done/failed/canceled) are restored read-only —
-//     status, intervals, and final series all come back from the WAL;
-//   - non-terminal jobs (queued, running, or persisted as "interrupted"
-//     by a drain) are re-enqueued. The simulator is a pure function of
+//   - jobs with a terminal frame (done/failed/canceled/shed) are
+//     restored read-only — status, intervals, final series and span
+//     summary all come back from the WAL;
+//   - jobs without one (queued, running, or canceled by a drain at
+//     shutdown) are re-enqueued. The simulator is a pure function of
 //     (spec, seed), so the resumed run re-executes from cycle 0 with
 //     emission suppressed below the checkpoint: clients see intervals
 //     k..N byte-identical to an uninterrupted run, each exactly once;
@@ -42,11 +40,8 @@ func (s *Server) Recover() (resumed int, err error) {
 	// from it instead of re-running.
 	s.recoverCacheEntries()
 	for _, jr := range s.st.Jobs() {
-		j := &job{
-			id:        jr.ID,
-			submitted: jr.Submitted,
-			subs:      map[chan IntervalPoint]struct{}{},
-		}
+		j := newJob(jr.ID, JobSpec{}, jr.Submitted)
+		j.recorded = true
 		s.bumpSeq(jr.ID)
 
 		var spec JobSpec
@@ -72,6 +67,7 @@ func (s *Server) Recover() (resumed int, err error) {
 				skipTo[pt.Structure] = pt.Interval + 1
 			}
 		}
+		j.walPoints = len(j.points)
 		if badPoint {
 			s.orphan(j, "recover: corrupt persisted interval record")
 			continue
@@ -96,19 +92,15 @@ func (s *Server) Recover() (resumed int, err error) {
 		}
 
 		if jr.Terminal() {
-			j.ended = true
-			j.stateOverride = jr.State
-			j.errMsg = jr.Error
-			j.finishedAt = jr.Updated
+			var res *JobResult
 			if jr.Result != nil {
-				var res JobResult
-				if e := json.Unmarshal(jr.Result, &res); e == nil {
-					j.result = &res
+				res = new(JobResult)
+				if json.Unmarshal(jr.Result, res) != nil {
+					res = nil
 				}
 			}
-			s.mu.Lock()
-			s.jobs[j.id] = j
-			s.mu.Unlock()
+			s.finish(j, ending{kind: endRestore, state: jr.State, errMsg: jr.Error, result: res, at: jr.Updated})
+			s.register(j)
 			continue
 		}
 
@@ -121,52 +113,32 @@ func (s *Server) Recover() (resumed int, err error) {
 		// an already-completed identical run (this boot or persisted)
 		// restores this job terminal, an identical relaunched run absorbs
 		// it as a follower, and otherwise it leads.
-		if s.recoverThroughCache(j) {
-			resumed++
-			if s.recoveredJobs != nil {
-				s.recoveredJobs.Inc()
+		if !s.recoverThroughCache(j) {
+			j.skipTo = skipTo
+			if e := s.launch(j, rc); e != nil {
+				if j.cacheLead {
+					s.cache.Abort(j.cacheKey, e)
+				}
+				s.orphan(j, fmt.Sprintf("recover: resubmit: %v", e))
+				continue
 			}
-			continue
-		}
-		j.skipTo = skipTo
-		// The estimator fast-forwards whole interval groups below the
-		// minimum persisted count; the ragged remainder (structures whose
-		// interval k landed before the crash) is deduplicated per
-		// structure by the skipTo filter in the OnInterval callback.
-		rc.StartInterval = startInterval(skipTo, rc.Structures)
-		if e := s.launch(j, rc); e != nil {
-			if j.cacheLead {
-				s.cache.Abort(j.cacheKey, e)
-			}
-			s.orphan(j, fmt.Sprintf("recover: resubmit: %v", e))
-			continue
+			s.log.Info("job recovered", "job", j.id, "benchmark", spec.Benchmark,
+				"persisted_intervals", len(jr.Intervals))
 		}
 		resumed++
 		if s.recoveredJobs != nil {
 			s.recoveredJobs.Inc()
 		}
-		s.log.Info("job recovered", "job", j.id, "benchmark", spec.Benchmark,
-			"persisted_intervals", len(j.points), "start_interval", rc.StartInterval)
 	}
 	s.sweepRetention(time.Now())
 	return resumed, nil
 }
 
-// orphan registers a job that cannot be resumed as terminally failed
-// (visible in listings with its error, rather than vanishing).
+// orphan ends a recovered job that cannot be resumed as terminally
+// failed (visible in listings with its error, rather than vanishing).
 func (s *Server) orphan(j *job, msg string) {
-	j.ended = true
-	j.stateOverride = "failed"
-	j.errMsg = msg
-	j.finishedAt = time.Now()
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	if s.st != nil {
-		if err := s.st.AppendState(j.id, "failed", msg); err != nil && !errors.Is(err, store.ErrClosed) {
-			s.log.Error("persist orphan state", "job", j.id, "error", err)
-		}
-	}
+	s.finish(j, ending{kind: endOrphan, state: "failed", errMsg: msg})
+	s.register(j)
 	s.log.Warn("job orphaned", "job", j.id, "error", msg)
 }
 
@@ -182,28 +154,6 @@ func (s *Server) bumpSeq(id string) {
 		s.seq = n
 	}
 	s.mu.Unlock()
-}
-
-// startInterval is the resume fast-forward point: the minimum persisted
-// interval count across the monitored structures. Every structure has
-// all intervals below it durable, so the estimator can suppress those
-// interval groups wholesale; anything beyond (a structure that got its
-// interval k out just before the crash) is filtered per structure.
-func startInterval(skipTo map[string]int, structs []pipeline.Structure) int {
-	if len(structs) == 0 {
-		structs = pipeline.PaperStructures
-	}
-	min := -1
-	for _, st := range structs {
-		n := skipTo[st.String()]
-		if min < 0 || n < min {
-			min = n
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
 }
 
 // janitorPeriod is how often retention sweeps run between job
@@ -241,7 +191,7 @@ func (s *Server) sweepRetention(now time.Time) {
 		// streamRefs > 0 pins the job: a reader is mid-replay on one of
 		// its NDJSON endpoints, and evicting underneath it would truncate
 		// the stream. The next sweep collects it once the reader detaches.
-		if j.ended && j.streamRefs == 0 {
+		if terminal(j.state) && j.streamRefs == 0 {
 			done = append(done, fin{j, j.finishedAt})
 		}
 		j.mu.Unlock()
@@ -264,9 +214,7 @@ func (s *Server) sweepRetention(now time.Time) {
 
 	for _, j := range evict {
 		if s.st != nil {
-			if err := s.st.Evict(j.id); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("evict from store", "job", j.id, "error", err)
-			}
+			s.logPersist("evict from store", j.id, s.st.Evict(j.id))
 		}
 		if s.evictedJobs != nil {
 			s.evictedJobs.Inc()

@@ -173,15 +173,6 @@ func TestRecoveredTerminalStreamReplaysInOneWrite(t *testing.T) {
 	if s := waitTerminal(t, ts, id, 30*time.Second); s.State != "done" {
 		t.Fatalf("run state = %q", s.State)
 	}
-	// The watcher persists the terminal state after it is visible; wait
-	// for it to land before "crashing", or the next boot resumes the job
-	// and streams it live.
-	for deadline := time.Now().Add(10 * time.Second); !storedTerminal(st.Jobs(), id); {
-		if time.Now().After(deadline) {
-			t.Fatal("terminal state never persisted")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	ref := streamBytes(t, ts, id)
 	ts.Close()
 	st.Close()
@@ -240,8 +231,8 @@ func TestRetentionOfHitsWritesNoFrames(t *testing.T) {
 
 	lead, _ := postJobAny(t, ts, tinyJob)
 	leadID := lead["id"].(string)
-	// "job done" is logged after every terminal frame of the leader
-	// (result, state, trace, cache entry) is durable.
+	// "job done" is logged after the leader's terminal transition: its
+	// terminal frame and cache entry are durable.
 	for deadline := time.Now().Add(30 * time.Second); !strings.Contains(logs.String(), `msg="job done" job=`+leadID); {
 		if time.Now().After(deadline) {
 			t.Fatal("leader never finished")

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -214,216 +215,6 @@ type JobStatus struct {
 	CacheLeader string `json:"cache_leader,omitempty"`
 }
 
-// subCap buffers a stream subscriber; a client that falls this many
-// estimates behind is dropped rather than stalling the simulation.
-const subCap = 4096
-
-// job tracks one submitted run.
-type job struct {
-	id        string
-	spec      JobSpec
-	submitted time.Time
-	task      *sched.Task
-	// tracer records the injection lifecycle (nil without WithMetrics).
-	tracer *obs.JobTracer
-	// flight records error-bit events for propagation-trace export (nil
-	// unless the spec asked for it).
-	flight *flight.Recorder
-	// microtel accumulates occupancy residency, injection coverage, and
-	// confidence surfaces (nil unless the spec asked for it).
-	microtel *microtel.Collector
-
-	// Request tracing (zero values when the server runs without
-	// WithSpans): the job's trace identity, the remote parent span ID
-	// adopted from an inbound traceparent, and the in-flight span
-	// handles. root lives submit→terminal; queueSpan and dispatchSpan
-	// are guarded by mu because the submit handler, the worker's
-	// OnStart hook, and the watcher can all touch them.
-	trace        span.TraceID
-	parentSpan   span.SpanID
-	root         *span.Active
-	queueSpan    *span.Active
-	dispatchSpan *span.Active
-
-	// skipTo, set when the job was recovered from the WAL, maps structure
-	// name → count of intervals already persisted (and preloaded into
-	// points): the resumed run re-emits them deterministically and the
-	// OnInterval callback drops them so clients see each interval once.
-	skipTo map[string]int
-
-	// Result-cache participation (see cache.go), all set before the job
-	// is observable: cacheKey is the spec's content address; cacheLead
-	// marks the single-flight leader (settles the flight at terminal);
-	// cachePopulate marks a run that feeds the cache without leading.
-	cacheKey      cache.Key
-	cacheLead     bool
-	cachePopulate bool
-
-	mu     sync.Mutex
-	points []IntervalPoint
-	subs   map[chan IntervalPoint]struct{}
-	result *JobResult
-	errMsg string
-	ended  bool
-	// finishedAt drives retention; zero until terminal.
-	finishedAt time.Time
-	// stateOverride replaces task.State() for jobs restored from the WAL
-	// in a terminal state (they have no live task) and for cache-served
-	// jobs (hits and finished followers), which never had one.
-	stateOverride string
-	// cached/cacheLeader mirror JobStatus: this job's series was served
-	// by the cache (or a live leader) instead of its own run.
-	cached      bool
-	cacheLeader string
-	// leader, while non-nil, is the live run this follower rides;
-	// followers is the leader-side fan-out list (guarded by the *leader's*
-	// mu, the same mutex publish holds). Lock order: leader.mu → follower.mu.
-	leader    *job
-	followers []*job
-	// streamRefs counts attached NDJSON readers (stream/trace/flight/
-	// spans/coverage); retention defers eviction while nonzero so a live
-	// reader's job can never be deleted under it.
-	streamRefs int
-}
-
-// state returns the job's lifecycle state, whether it is backed by a
-// live scheduler task or restored terminal from the WAL.
-func (j *job) state() string {
-	if j.task != nil {
-		return j.task.State().String()
-	}
-	if j.stateOverride != "" {
-		return j.stateOverride
-	}
-	if j.leader != nil { // single-flight follower: mirror the live run
-		return j.leader.state()
-	}
-	return "queued"
-}
-
-// stateLocked reads the job's state under its mutex (for callers not
-// already holding it: leader and stateOverride mutate post-registration
-// on the single-flight paths).
-func (j *job) stateLocked() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state()
-}
-
-// publish appends an estimate and fans it out to live subscribers and
-// single-flight followers. Called from the worker goroutine driving the
-// simulation. The follower snapshot is taken in the same critical
-// section that appends the point, and attachFollower copies points and
-// joins the list in one section too, so every follower sees each
-// estimate exactly once (either in its initial copy or via fan-out).
-func (j *job) publish(pt IntervalPoint) {
-	j.mu.Lock()
-	j.points = append(j.points, pt)
-	for ch := range j.subs {
-		select {
-		case ch <- pt:
-		default: // subscriber too slow: drop it, never block the run
-			delete(j.subs, ch)
-			close(ch)
-		}
-	}
-	fs := j.followers
-	if len(fs) > 0 {
-		fs = append([]*job(nil), fs...)
-	}
-	j.mu.Unlock()
-	for _, f := range fs { // outside j.mu: lock order is leader → follower
-		f.publish(pt)
-	}
-}
-
-// subscribe returns the estimates so far plus a channel of subsequent
-// ones; the channel is closed when the job ends (or nil if it already
-// has). cancelSub must be called when the consumer goes away. points is
-// append-only, so replay shares its backing array instead of copying.
-func (j *job) subscribe() (replay []IntervalPoint, ch chan IntervalPoint) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay = j.points[:len(j.points):len(j.points)]
-	if j.ended {
-		return replay, nil
-	}
-	ch = make(chan IntervalPoint, subCap)
-	j.subs[ch] = struct{}{}
-	return replay, ch
-}
-
-func (j *job) cancelSub(ch chan IntervalPoint) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, ok := j.subs[ch]; ok {
-		delete(j.subs, ch)
-		close(ch)
-	}
-}
-
-// setResult records the final series (worker goroutine, before the task
-// goes terminal).
-func (j *job) setResult(res *experiment.Result) {
-	jr := &JobResult{
-		Benchmark: res.Benchmark,
-		M:         res.M,
-		N:         res.N,
-		Intervals: res.Intervals,
-	}
-	for _, ss := range res.Series {
-		jr.Series = append(jr.Series, SeriesJSON{
-			Structure:   ss.Structure.String(),
-			Online:      ss.Online,
-			Reference:   ss.Reference,
-			Utilization: ss.Utilization,
-		})
-	}
-	j.mu.Lock()
-	j.result = jr
-	j.mu.Unlock()
-}
-
-// end marks the job terminal and releases subscribers.
-func (j *job) end(errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.ended {
-		return
-	}
-	j.ended = true
-	j.errMsg = errMsg
-	j.finishedAt = time.Now()
-	for ch := range j.subs {
-		delete(j.subs, ch)
-		close(ch)
-	}
-}
-
-// status snapshots the job for the API.
-func (j *job) status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:          j.id,
-		State:       j.state(),
-		Benchmark:   j.spec.Benchmark,
-		Submitted:   j.submitted,
-		Intervals:   append([]IntervalPoint(nil), j.points...),
-		Result:      j.result,
-		Error:       j.errMsg,
-		TraceID:     j.traceID(),
-		Cached:      j.cached,
-		CacheLeader: j.cacheLeader,
-	}
-	if j.task != nil {
-		if by, ok := j.task.ShedBy(); ok {
-			st.ShedBy = by.String()
-		}
-	}
-	return st
-}
-
 // Server is the avfd HTTP API over a sched.Pool.
 type Server struct {
 	pool *sched.Pool
@@ -466,8 +257,8 @@ type Server struct {
 	recoveredJobs *obs.Counter
 	evictedJobs   *obs.Counter
 	// draining flips at BeginDrain: jobs canceled from then on persist
-	// as "interrupted" (checkpointed, resumed at next boot) instead of
-	// "canceled" (terminal).
+	// no terminal frame (their checkpoints resume at the next boot)
+	// instead of a terminal "canceled".
 	draining    atomic.Bool
 	janitorStop chan struct{}
 	closeOnce   sync.Once
@@ -532,9 +323,10 @@ func WithSLO(eng *span.Engine) Option {
 	return func(s *Server) { s.slo = eng }
 }
 
-// WithStore makes the server durable: job specs, lifecycle transitions,
-// per-interval estimates, and final results are appended to st's WAL,
-// and Recover re-enqueues interrupted jobs after a restart.
+// WithStore makes the server durable: job specs, per-interval
+// estimates, and one terminal frame per finished job (state, result,
+// span summary) are appended to st's WAL, and Recover re-enqueues
+// unfinished jobs after a restart.
 func WithStore(st *store.Store) Option {
 	return func(s *Server) { s.st = st }
 }
@@ -711,20 +503,40 @@ func (s *Server) Handler() http.Handler {
 }
 
 // BeginDrain marks the server as draining (SIGTERM received): jobs
-// canceled from here on persist to the WAL as "interrupted" — their
-// per-interval checkpoints are already durable — so the next boot's
-// Recover re-enqueues them, while a client's DELETE before the drain
-// stays a terminal "canceled".
+// canceled from here on persist no terminal frame — their per-interval
+// checkpoints are already durable — so the next boot's Recover
+// re-enqueues them, while a client's DELETE before the drain stays a
+// terminal "canceled".
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close stops the retention janitor. It does not touch running jobs —
-// the pool's Shutdown and the HTTP server's own shutdown own those.
+// Close stops the retention janitor and returns once every job whose
+// task has ended has finished its terminal transition, so its terminal
+// frame is in the WAL. Call it after the pool's Shutdown (then that is
+// every job) and before closing the store. It does not touch running
+// jobs — the pool's Shutdown and the HTTP server's own shutdown own
+// those.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.janitorStop != nil {
 			close(s.janitorStop)
 		}
 	})
+	s.mu.Lock()
+	var ended []*job
+	for _, j := range s.jobs {
+		if j.task == nil {
+			continue
+		}
+		select {
+		case <-j.task.Done():
+			ended = append(ended, j)
+		default:
+		}
+	}
+	s.mu.Unlock()
+	for _, j := range ended {
+		<-j.watched
+	}
 }
 
 // CancelAll cancels every non-terminal job (shutdown-deadline path).
@@ -807,12 +619,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("job-%d", s.seq),
-		spec:      spec,
-		submitted: time.Now(),
-		subs:      map[chan IntervalPoint]struct{}{},
-	}
+	j := newJob(fmt.Sprintf("job-%d", s.seq), spec, time.Now())
 	s.mu.Unlock()
 
 	// Content-addressed cache resolution (see cache.go): an exact hit is
@@ -854,28 +661,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The admission span covers decode → validate → enqueue; recorded
 	// only now so rejected submissions carry status "rejected" instead.
-	if adm := s.spans.StartAt(j.trace, j.root.ID(), "admission", admitStart); adm != nil {
-		adm.SetJob(j.id, class.String())
-		adm.End("ok")
-	}
+	s.admitted(j, class, admitStart, "ok")
 
-	// Durability point: the spec frame is fsync'd before the 202 goes
-	// out, so every acknowledged job survives a crash. (Interval frames
-	// racing ahead of the spec frame are ignored by the store and simply
-	// re-derived at resume — harmless, since un-acked jobs carry no
-	// durability promise yet.) launch rewrote the spec's traceparent to
-	// its canonical value, so the persisted copy pins the trace.
-	if s.st != nil {
-		if err := s.st.AppendSpec(j.id, &j.spec, j.submitted); err != nil {
-			j.task.Cancel()
-			s.log.Error("persist job spec", "job", j.id, "error", err)
-			writeError(w, http.StatusInternalServerError, "persist job: %v", err)
-			return
-		}
-	}
-
-	s.log.Info("job submitted", "job", j.id, "benchmark", spec.Benchmark, "state", j.state())
-	resp := map[string]string{"id": j.id, "state": j.state()}
+	state := j.currentState()
+	s.log.Info("job submitted", "job", j.id, "benchmark", spec.Benchmark, "state", state)
+	resp := map[string]string{"id": j.id, "state": state}
 	if tid := j.traceID(); tid != "" {
 		resp["trace_id"] = tid
 		w.Header().Set("traceparent", j.spec.Traceparent)
@@ -888,12 +678,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // error budget with the admission latency.
 func (s *Server) finishRejected(j *job, class sched.Class, admitStart time.Time) {
 	lat := time.Since(admitStart).Seconds()
-	if adm := s.spans.StartAt(j.trace, j.root.ID(), "admission", admitStart); adm != nil {
-		adm.SetJob(j.id, class.String())
-		adm.End("rejected")
-	}
+	s.admitted(j, class, admitStart, "rejected")
 	j.root.End("rejected")
 	s.slo.Record(class.String(), "rejected", lat, j.id, j.traceID())
+}
+
+// admitted records the submission's admission span: decode → validate
+// → enqueue or cache resolution, ending with status.
+func (s *Server) admitted(j *job, class sched.Class, start time.Time, status string) {
+	adm := s.spans.StartAt(j.trace, j.root.ID(), "admission", start)
+	adm.SetJob(j.id, class.String())
+	adm.End(status)
 }
 
 // traceID returns the job's trace ID as a hex string ("" when tracing
@@ -932,88 +727,65 @@ func (s *Server) effectiveDeadline(spec *JobSpec) time.Duration {
 	return d
 }
 
-// launch wires a job's callbacks and submits it to the pool. It is the
-// shared path of fresh submissions and WAL recovery; on success the job
-// is registered and a watcher goroutine owns its terminal transition.
+// launch wires a job's callbacks, persists its spec (fresh
+// submissions) and submits it to the pool. It is the shared path of
+// fresh submissions and WAL recovery; on success the job is registered
+// and a watcher goroutine finishes it once its task ends.
 func (s *Server) launch(j *job, rc experiment.RunConfig) error {
-	// Recovery reuses this path, so re-derive the class here; a persisted
-	// spec with a class this build no longer knows falls back to standard
-	// rather than orphaning the job.
-	class, cerr := j.spec.class()
-	if cerr != nil {
-		class = sched.ClassStandard
-	}
-
-	// Trace identity: adopt the spec's traceparent (client-supplied or
-	// persisted by a previous boot) or mint one, then open the root
-	// span and rewrite the spec's traceparent to the canonical value —
-	// trace ID plus *this* root's span ID — so a job resumed after a
-	// crash chains its new root under the pre-crash one on the same
-	// trace.
-	if s.spans != nil {
-		if t, p, _, err := span.ParseTraceparent(j.spec.Traceparent); err == nil {
-			j.trace, j.parentSpan = t, p
-		} else {
-			// Per the trace-context spec an invalid traceparent restarts
-			// the trace rather than failing the request.
-			j.trace, j.parentSpan = span.MintTraceID(), span.SpanID{}
-		}
-		j.root = s.spans.StartAt(j.trace, j.parentSpan, "job", j.submitted)
-		j.root.SetJob(j.id, class.String())
-		j.spec.Traceparent = span.FormatTraceparent(j.trace, j.root.ID(), 0x01)
-	}
+	class := j.class()
+	s.openTrace(j, class)
 
 	spec := j.spec
+	var (
+		res *JobResult // the finished run's series, handed to the watcher
+		// Interval spans: a structure's wall window runs from its previous
+		// estimate, replayed ones included, or from the run's start.
+		runStart    time.Time
+		windowStart = map[string]time.Time{}
+	)
 	rc.OnInterval = func(est core.Estimate) {
-		pt := IntervalPoint{
-			Structure:  est.Structure.String(),
-			Interval:   est.Interval,
-			StartCycle: est.StartCycle,
-			EndCycle:   est.EndCycle,
-			AVF:        est.AVF,
-			Failures:   est.Failures,
-			Injections: est.Injections,
-		}
+		pt := pointOf(est)
 		if j.microtel != nil {
 			cf := microtel.Interval(est.Failures, est.Injections, 0)
 			pt.Confidence = &cf
 		}
 		// Resumed jobs replay deterministically through intervals the WAL
-		// already holds; StartInterval suppresses whole interval groups
-		// below the checkpoint and this filter drops the ragged remainder
-		// (structures whose interval k landed before the crash).
-		if pt.Interval < j.skipTo[pt.Structure] {
-			return
-		}
-		// WAL first, then fan-out: an estimate a client saw is always
-		// durable, so a crash can never un-deliver data.
-		if s.st != nil {
-			wal := s.spans.Start(j.trace, j.root.ID(), "wal")
-			if err := s.st.AppendInterval(j.id, &pt); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("persist interval", "job", j.id, "error", err)
-				wal.End("error")
-			} else if wal != nil {
-				wal.SetJob(j.id, class.String())
-				wal.End("ok")
+		// already holds; drop those so clients see each interval once.
+		replayed := pt.Interval < j.skipTo[pt.Structure]
+		if !replayed {
+			// WAL first, then fan-out: an estimate a client saw is always
+			// durable, so a crash can never un-deliver data.
+			if s.st != nil {
+				wal := s.spans.Start(j.trace, j.root.ID(), "wal")
+				if err := s.st.AppendInterval(j.id, &pt); err != nil && !errors.Is(err, store.ErrClosed) {
+					s.log.Error("persist interval", "job", j.id, "error", err)
+					wal.End("error")
+				} else if wal != nil {
+					wal.SetJob(j.id, class.String())
+					wal.End("ok")
+				}
 			}
+			j.publish(pt, s.st != nil)
+			// Each estimate also feeds the drift monitor (noise-floored by
+			// its binomial stderr) and the live dashboard.
+			s.observeDrift(avfStream(spec.Benchmark, pt.Structure), est.AVF, est.StdErr())
+			s.hub.broadcast("estimate", estimateEvent{Job: j.id, Benchmark: spec.Benchmark, IntervalPoint: pt})
 		}
-		j.publish(pt)
-		// Each estimate also feeds the drift monitor (noise-floored by
-		// its binomial stderr) and the live dashboard.
-		s.observeDrift(avfStream(spec.Benchmark, pt.Structure), est.AVF, est.StdErr())
-		s.hub.broadcast("estimate", estimateEvent{Job: j.id, Benchmark: spec.Benchmark, IntervalPoint: pt})
-	}
-	if s.spans != nil {
-		// One span per completed estimation interval, stamped with the
-		// simulator's wall window (explicit instants: the estimator owns
-		// the clock reads, and only when the hook is installed).
-		rc.OnIntervalSpan = func(est core.Estimate, wallStart, wallEnd time.Time) {
-			a := s.spans.StartAt(j.trace, j.root.ID(), "interval", wallStart)
-			a.SetJob(j.id, class.String())
-			a.SetAttr("structure", est.Structure.String())
-			a.SetAttr("interval", strconv.Itoa(est.Interval))
-			a.SetAttr("avf", strconv.FormatFloat(est.AVF, 'g', 6, 64))
-			a.EndAt("ok", wallEnd)
+		if s.spans != nil {
+			end := time.Now()
+			start, ok := windowStart[pt.Structure]
+			if !ok {
+				start = runStart
+			}
+			windowStart[pt.Structure] = end
+			if !replayed {
+				a := s.spans.StartAt(j.trace, j.root.ID(), "interval", start)
+				a.SetJob(j.id, class.String())
+				a.SetAttr("structure", pt.Structure)
+				a.SetAttr("interval", strconv.Itoa(est.Interval))
+				a.SetAttr("avf", strconv.FormatFloat(est.AVF, 'g', 6, 64))
+				a.EndAt("ok", end)
+			}
 		}
 	}
 	if s.injc != nil {
@@ -1030,10 +802,24 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 		j.microtel = microtel.New(microtel.Config{Metrics: s.microtelMetrics})
 		rc.Microtel = j.microtel
 	}
+
+	// Durability point: the spec frame is fsync'd before the job can run,
+	// so every acknowledged job survives a crash and every later frame of
+	// the job follows it. The spec carries the canonical traceparent
+	// openTrace wrote, which pins the trace.
+	fresh := s.st != nil && !j.recorded
+	if fresh {
+		if err := s.st.AppendSpec(j.id, &j.spec, j.submitted); err != nil {
+			s.log.Error("persist job spec", "job", j.id, "error", err)
+			return fmt.Errorf("persist job: %w", err)
+		}
+		j.recorded = true
+	}
+
 	deadline := s.effectiveDeadline(&spec)
 	// The queue span opens before Submit (its start is the enqueue
 	// instant) and is closed by whoever ends the wait: the worker's
-	// OnStart on dispatch, or the watcher when the job dies queued
+	// OnStart on dispatch, or finish when the job dies queued
 	// (shed/canceled). Set under j.mu — OnStart can fire before Submit
 	// returns.
 	j.mu.Lock()
@@ -1047,26 +833,24 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 		j.dispatchSpan.End("ok")
 		j.dispatchSpan = nil
 		j.mu.Unlock()
-		run := s.spans.Start(j.trace, j.root.ID(), "run")
+		runStart = time.Now()
+		run := s.spans.StartAt(j.trace, j.root.ID(), "run", runStart)
 		run.SetJob(j.id, class.String())
 		if deadline > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, deadline)
 			defer cancel()
 		}
-		res, err := experiment.RunCtx(ctx, rc)
+		r, err := experiment.RunCtx(ctx, rc)
 		if err != nil {
 			run.End(outcomeOf(err))
 			return err
 		}
 		run.End("done")
-		j.setResult(res)
+		res = jobResultOf(r)
 		// The finished run carries the SoftArch reference series; feed
 		// the online-vs-reference gap to the divergence detectors.
-		j.mu.Lock()
-		jr := j.result
-		j.mu.Unlock()
-		s.feedDivergence(spec.Benchmark, jr)
+		s.feedDivergence(spec.Benchmark, res)
 		return nil
 	}, sched.WithLabel(j.id+" "+spec.Benchmark),
 		sched.WithClass(class),
@@ -1078,20 +862,18 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 			j.dispatchSpan = s.spans.Start(j.trace, j.root.ID(), "dispatch")
 			j.dispatchSpan.SetJob(j.id, class.String())
 			j.mu.Unlock()
+			j.start()
 			s.log.Info("job started", "job", j.id, "benchmark", spec.Benchmark)
-			if s.st != nil {
-				if err := s.st.AppendState(j.id, "running", ""); err != nil && !errors.Is(err, store.ErrClosed) {
-					s.log.Error("persist state", "job", j.id, "error", err)
-				}
-			}
 		}))
 	if err != nil {
+		if fresh { // the job never existed: retract its spec frame
+			s.logPersist("retract job spec", j.id, s.st.Evict(j.id))
+		}
 		return err
 	}
 	j.task = task
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
+	j.watched = make(chan struct{})
+	s.register(j)
 	if j.cacheLead {
 		// Open the flight gate only now, with the job registered and its
 		// task live, and strictly before the watcher exists: followers
@@ -1099,69 +881,81 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 		// retire the flight before it opens (Drop would strand them).
 		s.cache.Launched(j.cacheKey)
 	}
-	go s.watch(j)
+	go func() {
+		defer close(j.watched)
+		task.Wait(context.Background())
+		s.finishRun(j, task, res)
+	}()
 	return nil
 }
 
-// watch releases subscribers and persists the terminal transition once
-// the task ends, whatever the path (done, canceled while queued or
-// running, failed, panicked), then gives retention a chance to evict.
-func (s *Server) watch(j *job) {
-	task := j.task
-	task.Wait(context.Background())
-	msg := ""
-	if err := task.Err(); err != nil {
-		msg = err.Error()
+// pointOf renders one estimate as its stream point.
+func pointOf(est core.Estimate) IntervalPoint {
+	return IntervalPoint{
+		Structure:  est.Structure.String(),
+		Interval:   est.Interval,
+		StartCycle: est.StartCycle,
+		EndCycle:   est.EndCycle,
+		AVF:        est.AVF,
+		Failures:   est.Failures,
+		Injections: est.Injections,
 	}
-	j.end(msg)
+}
 
-	state := task.State().String()
-	s.closeTrace(j, task)
-	// A cancellation during drain is a checkpoint, not a verdict: the
-	// job's interval frames are durable and the next boot resumes it.
-	persistState := state
-	if task.State() == sched.StateCanceled && s.draining.Load() {
-		persistState = "interrupted"
+// jobResultOf renders a finished run's final series.
+func jobResultOf(res *experiment.Result) *JobResult {
+	jr := &JobResult{
+		Benchmark: res.Benchmark,
+		M:         res.M,
+		N:         res.N,
+		Intervals: res.Intervals,
 	}
-	if s.st != nil {
-		if task.State() == sched.StateDone {
-			j.mu.Lock()
-			jr := j.result
-			j.mu.Unlock()
-			if jr != nil {
-				if err := s.st.AppendResult(j.id, jr); err != nil && !errors.Is(err, store.ErrClosed) {
-					s.log.Error("persist result", "job", j.id, "error", err)
-				}
-			}
-		}
-		if err := s.st.AppendState(j.id, persistState, msg); err != nil && !errors.Is(err, store.ErrClosed) {
-			s.log.Error("persist state", "job", j.id, "error", err)
-		}
+	for _, ss := range res.Series {
+		jr.Series = append(jr.Series, SeriesJSON{
+			Structure:   ss.Structure.String(),
+			Online:      ss.Online,
+			Reference:   ss.Reference,
+			Utilization: ss.Utilization,
+		})
 	}
+	return jr
+}
 
-	// Cache settlement before follower fan-out: a follower that attaches
-	// between the two (leader already ended) finalizes inline in
-	// attachFollower, so none is ever left hanging.
-	s.settleCache(j, task.State() == sched.StateDone)
-	s.endFollowers(j)
-
+// finishRun ends a job whose task ended, whatever the path (done,
+// canceled while queued or running, failed, panicked, shed).
+func (s *Server) finishRun(j *job, task *sched.Task, res *JobResult) {
+	err := task.Err()
 	submitted, started, finished := task.Timing()
-	attrs := []any{"job", j.id, "benchmark", j.spec.Benchmark, "state", state,
+	e := ending{kind: endRun, state: task.State().String(), outcome: outcomeOf(err),
+		start: submitted, at: finished,
+		// A cancel during drain is a checkpoint, not a verdict: the job's
+		// interval frames are durable and the next boot resumes it.
+		checkpoint: task.State() == sched.StateCanceled && s.draining.Load()}
+	if err != nil {
+		e.errMsg = err.Error()
+	} else {
+		e.result = res
+	}
+	if by, ok := task.ShedBy(); ok {
+		e.shedBy = by.String()
+	}
+	s.finish(j, e)
+
+	attrs := []any{"job", j.id, "benchmark", j.spec.Benchmark, "state", e.state,
 		"total", finished.Sub(submitted).Round(time.Millisecond)}
 	if !started.IsZero() {
 		attrs = append(attrs, "run", finished.Sub(started).Round(time.Millisecond))
 	}
 	switch {
-	case msg == "":
+	case err == nil:
 		s.log.Info("job done", attrs...)
 	case task.State() == sched.StateCanceled:
 		s.log.Info("job canceled", attrs...)
 	case task.State() == sched.StateShed:
 		s.log.Warn("job shed", append(attrs, "class", task.Class().String())...)
 	default:
-		s.log.Warn("job failed", append(attrs, "error", msg)...)
+		s.log.Warn("job failed", append(attrs, "error", e.errMsg)...)
 	}
-	s.sweepRetention(time.Now())
 }
 
 // outcomeOf maps a terminal task error to the span/SLO outcome noun. A
@@ -1179,54 +973,6 @@ func outcomeOf(err error) string {
 		return "canceled"
 	}
 	return "failed"
-}
-
-// closeTrace ends the job's open spans with the terminal outcome and
-// charges it to the class's error budget. Runs once, from the watcher,
-// strictly after the task is terminal (so OnStart and the run fn have
-// already released their span handles).
-func (s *Server) closeTrace(j *job, task *sched.Task) {
-	outcome := outcomeOf(task.Err())
-	class := task.Class().String()
-
-	j.mu.Lock()
-	if j.queueSpan != nil { // died queued: shed or canceled before start
-		j.queueSpan.End(outcome)
-		j.queueSpan = nil
-	}
-	if j.dispatchSpan != nil {
-		j.dispatchSpan.End(outcome)
-		j.dispatchSpan = nil
-	}
-	j.mu.Unlock()
-
-	if j.root != nil {
-		if by, ok := task.ShedBy(); ok {
-			j.root.SetAttr("shed_by", by.String())
-		}
-		submitted, _, finished := task.Timing()
-		j.root.SetAttr("latency_seconds",
-			strconv.FormatFloat(finished.Sub(submitted).Seconds(), 'g', 6, 64))
-		j.root.EndAt(outcome, finished)
-	}
-
-	// Client cancels are excluded by design: a user abort is not a
-	// service failure. Deadline overruns are the service's miss and do
-	// count.
-	if s.slo != nil && outcome != "canceled" {
-		submitted, _, finished := task.Timing()
-		s.slo.Record(class, outcome, finished.Sub(submitted).Seconds(), j.id, j.traceID())
-	}
-
-	// Persist the terminal span summary so a restarted server still
-	// serves this job's trace.
-	if s.st != nil && s.spans != nil {
-		if spans := s.spans.ForJob(j.id); len(spans) > 0 {
-			if err := s.st.AppendTrace(j.id, spans); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("persist trace", "job", j.id, "error", err)
-			}
-		}
-	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1268,7 +1014,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// followers still want the result).
 		s.detachFollower(j)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "state": j.stateLocked()})
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "state": j.currentState()})
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -1295,7 +1041,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// watched and how many estimates it absorbed.
 	points := 0
 	if ss := s.spans.Start(j.trace, j.root.ID(), "stream"); ss != nil {
-		ss.SetJob(j.id, j.className())
+		ss.SetJob(j.id, j.class().String())
 		defer func() {
 			ss.SetAttr("points", strconv.Itoa(points))
 			ss.End("ok")
@@ -1362,11 +1108,35 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	j.mu.Lock()
-	end := StreamEvent{Type: "end", State: j.state(), Error: j.errMsg}
+	end := StreamEvent{Type: "end", State: j.state, Error: j.errMsg}
 	j.mu.Unlock()
 	if enc.Encode(end) == nil {
 		send()
 	}
+}
+
+// serveNDJSON serves one of a job's NDJSON snapshot endpoints: 404 for
+// an unknown job, or with offMsg when the surface is off for it;
+// otherwise it pins the job against retention for the response and
+// sends write's output in one bulk write under a single rolling
+// deadline.
+func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, offMsg string, on func(*job) bool, write func(io.Writer, *job)) {
+	j := s.lookup(r)
+	if j == nil {
+		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return
+	}
+	if !on(j) {
+		writeError(w, http.StatusNotFound, "%s", offMsg)
+		return
+	}
+	j.pin()
+	defer j.unpin()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Cache-Control", "no-store")
+	w.WriteHeader(http.StatusOK)
+	s.armStreamWrite(w)()
+	write(w, j)
 }
 
 // handleTrace serves the job's injection-lifecycle trace as NDJSON:
@@ -1374,56 +1144,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // outcome, propagation latency, failure instruction class). The trace
 // is a snapshot — safe to fetch while the job still runs.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r)
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if j.tracer == nil {
-		writeError(w, http.StatusNotFound, "injection tracing disabled (server built without metrics)")
-		return
-	}
-	j.pin()
-	defer j.unpin()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	s.armStreamWrite(w)() // one bulk write: a single rolling deadline
-	j.tracer.WriteNDJSON(w)
+	s.serveNDJSON(w, r, "injection tracing disabled (server built without metrics)",
+		func(j *job) bool { return j.tracer != nil },
+		func(w io.Writer, j *job) { j.tracer.WriteNDJSON(w) })
 }
 
-// className resolves the job's SLO tier for span attribution, working
-// for live tasks and WAL-restored jobs alike.
-func (j *job) className() string {
-	if j.task != nil {
-		return j.task.Class().String()
-	}
+// class resolves the job's SLO tier. Recovery re-derives it from the
+// persisted spec, so a class this build no longer knows falls back to
+// standard rather than orphaning the job.
+func (j *job) class() sched.Class {
 	c, err := j.spec.class()
 	if err != nil {
-		c = sched.ClassStandard
+		return sched.ClassStandard
 	}
-	return c.String()
+	return c
 }
 
 // handleSpans serves the job's retained request spans as NDJSON, one
 // span per line, sorted by start time.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r)
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if s.spans == nil {
-		writeError(w, http.StatusNotFound, "span recording disabled (server built without WithSpans)")
-		return
-	}
-	j.pin()
-	defer j.unpin()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	s.armStreamWrite(w)() // one bulk write: a single rolling deadline
-	span.WriteNDJSON(w, s.spans.ForJob(j.id))
+	s.serveNDJSON(w, r, "span recording disabled (server built without WithSpans)",
+		func(*job) bool { return s.spans != nil },
+		func(w io.Writer, j *job) { span.WriteNDJSON(w, s.spans.ForJob(j.id)) })
 }
 
 // handleCoverage serves the job's microarchitectural telemetry as
@@ -1432,29 +1174,20 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 // confidence lines, nonzero (structure × entry) and (structure ×
 // cycle-bucket) outcome lines, and per-lane utilization.
 func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r)
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if j.microtel == nil {
-		writeError(w, http.StatusNotFound,
-			`microarchitectural telemetry disabled (submit with "microtel": true)`)
-		return
-	}
-	j.pin()
-	defer j.unpin()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	s.armStreamWrite(w)() // one bulk write: a single rolling deadline
-	j.microtel.WriteNDJSON(w)
+	s.serveNDJSON(w, r, `microarchitectural telemetry disabled (submit with "microtel": true)`,
+		func(j *job) bool { return j.microtel != nil },
+		func(w io.Writer, j *job) { j.microtel.WriteNDJSON(w) })
 }
 
 // handleOccupancy serves the aggregate occupancy/coverage surface:
 // per-structure snapshots merged across every job running with
 // microtel (live and finished, within retention).
 func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.occupancy())
+}
+
+// occupancy merges the telemetry of every job running with microtel.
+func (s *Server) occupancy() map[string]any {
 	s.mu.Lock()
 	var snaps []*microtel.Snapshot
 	for _, j := range s.jobs {
@@ -1464,13 +1197,13 @@ func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	merged := microtel.MergeSnapshots(snaps)
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"jobs":       len(snaps),
 		"samples":    merged.Samples,
 		"concluded":  merged.Concluded,
 		"totals":     merged.Totals,
 		"structures": merged.Structures,
-	})
+	}
 }
 
 // handleTraces serves trace summaries, newest first. Query params:
@@ -1537,22 +1270,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) statsPayload() map[string]any {
 	s.mu.Lock()
 	census := map[string]int{}
-	var flightDrops, traceDrops int64
-	var mtSnaps []*microtel.Snapshot
 	for _, j := range s.jobs {
-		census[j.stateLocked()]++
-		if j.flight != nil {
-			flightDrops += j.flight.Dropped()
-		}
-		if j.tracer != nil {
-			traceDrops += j.tracer.Dropped()
-		}
-		if j.microtel != nil && j.microtel.Enabled() {
-			mtSnaps = append(mtSnaps, j.microtel.Snapshot())
-		}
+		census[j.currentState()]++
 	}
 	total := len(s.jobs)
 	s.mu.Unlock()
+	flightDrops, traceDrops := s.dropTotals()
 	ps := s.pool.Stats()
 	var saturation float64
 	if ps.QueueCap > 0 {
@@ -1582,15 +1305,8 @@ func (s *Server) statsPayload() map[string]any {
 			"spans":         s.spans.Dropped(),
 		},
 	}
-	if len(mtSnaps) > 0 {
-		merged := microtel.MergeSnapshots(mtSnaps)
-		out["microtel"] = map[string]any{
-			"jobs":       len(mtSnaps),
-			"samples":    merged.Samples,
-			"concluded":  merged.Concluded,
-			"totals":     merged.Totals,
-			"structures": merged.Structures,
-		}
+	if occ := s.occupancy(); occ["jobs"] != 0 {
+		out["microtel"] = occ
 	}
 	if s.spans != nil {
 		out["spans"] = map[string]any{

@@ -44,11 +44,12 @@ import (
 // Record kinds, in the order a job's life emits them.
 const (
 	KindSpec     = "spec"     // job submitted: Data = wire spec
-	KindState    = "state"    // lifecycle transition: State (+ Error)
 	KindInterval = "interval" // one per-interval estimate: Data = point
-	KindResult   = "result"   // final series: Data = result
-	KindTrace    = "trace"    // terminal span summary: Data = []span JSON
-	KindEvict    = "evict"    // retention removed the job
+	// KindState is a job's terminal frame: State (+ Error), Data = the
+	// final series (done jobs only), Trace = the terminal span summary.
+	// A job without one is unfinished and resumes at the next boot.
+	KindState = "state"
+	KindEvict = "evict" // retention removed the job
 
 	// Cache records address the content-addressed result cache rather
 	// than a job: Job carries the cache key (hex SHA-256 of the
@@ -66,6 +67,7 @@ type Record struct {
 	State string          `json:"state,omitempty"`
 	Error string          `json:"error,omitempty"`
 	Data  json.RawMessage `json:"data,omitempty"`
+	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
 // JobRecord is the materialized state of one job after replay. The
@@ -75,8 +77,8 @@ type JobRecord struct {
 	ID        string          `json:"id"`
 	Spec      json.RawMessage `json:"spec"`
 	Submitted time.Time       `json:"submitted"`
-	// State is the last appended lifecycle state ("" when only the spec
-	// frame landed before a crash — treat like "queued").
+	// State is the job's terminal state ("" until its terminal frame
+	// lands: the job is unfinished).
 	State   string    `json:"state,omitempty"`
 	Error   string    `json:"error,omitempty"`
 	Updated time.Time `json:"updated"`
@@ -98,10 +100,9 @@ type CacheEntry struct {
 	Value json.RawMessage `json:"value"`
 }
 
-// Terminal reports whether the record's last persisted state is a clean
-// end state. Non-terminal jobs ("", queued, running, interrupted) are
-// the ones recovery re-enqueues; a job shed under load stays shed — it
-// is a verdict, not a checkpoint.
+// Terminal reports whether the job's terminal frame has landed. Jobs
+// without one are the ones recovery re-enqueues; a job shed under load
+// stays shed — it is a verdict, not a checkpoint.
 func (jr *JobRecord) Terminal() bool {
 	switch jr.State {
 	case "done", "failed", "canceled", "shed":
@@ -132,6 +133,15 @@ func (o *Options) defaults() {
 // ErrClosed is returned by appends on a closed store.
 var ErrClosed = errors.New("store: closed")
 
+// walFile is the WAL handle's write side; *os.File implements it.
+type walFile interface {
+	io.Writer
+	io.Seeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // Store is a single-directory WAL + snapshot job store. All methods are
 // safe for concurrent use.
 type Store struct {
@@ -139,7 +149,7 @@ type Store struct {
 	opt Options
 
 	mu       sync.Mutex
-	f        *os.File
+	f        walFile
 	seq      uint64
 	walBytes int64
 	jobs     map[string]*JobRecord
@@ -147,6 +157,9 @@ type Store struct {
 	cache    map[string]json.RawMessage
 	cacheOrd []string // cache keys in first-stored order
 	closed   bool
+	// broken is set when a failed append could not be rolled back: the
+	// log's tail is unknown, so no later frame may land after it.
+	broken error
 
 	// Metrics (nil without Options.Metrics).
 	frames, bytesWritten, fsyncs   *obs.Counter
@@ -250,6 +263,10 @@ func (s *Store) replayWAL() error {
 		return fmt.Errorf("store: open wal: %w", err)
 	}
 	s.f = f
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: stat wal: %w", err)
+	}
 
 	var (
 		off     int64 // end of the last intact frame
@@ -264,7 +281,9 @@ func (s *Store) replayWAL() error {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxFrame {
+		// A length past the file's end is a torn or corrupt header: never
+		// allocate for it.
+		if n == 0 || n > maxFrame || off+frameHeader+int64(n) > fi.Size() {
 			torn = true
 			break
 		}
@@ -329,18 +348,11 @@ func (s *Store) apply(rec *Record) {
 		if jr := s.jobs[rec.Job]; jr != nil {
 			jr.State, jr.Error = rec.State, rec.Error
 			jr.Updated = time.Unix(0, rec.Time)
+			jr.Result, jr.Trace = rec.Data, rec.Trace
 		}
 	case KindInterval:
 		if jr := s.jobs[rec.Job]; jr != nil {
 			jr.Intervals = append(jr.Intervals, rec.Data)
-		}
-	case KindResult:
-		if jr := s.jobs[rec.Job]; jr != nil {
-			jr.Result = rec.Data
-		}
-	case KindTrace:
-		if jr := s.jobs[rec.Job]; jr != nil {
-			jr.Trace = rec.Data
 		}
 	case KindEvict:
 		if _, ok := s.jobs[rec.Job]; ok {
@@ -378,6 +390,9 @@ func (s *Store) append(rec *Record) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if s.broken != nil {
+		return s.broken
+	}
 	// An evict frame for a job with no spec frame is a no-op under apply,
 	// live and at replay alike, so it is not written. The check shares the
 	// critical section that assigns seq: a spec frame appended before this
@@ -390,22 +405,14 @@ func (s *Store) append(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal record: %w", err)
 	}
-	s.seq++
 	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[frameHeader:], payload)
-	if _, err := s.f.Write(frame); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+	if err := s.writeFrame(frame); err != nil {
+		return err
 	}
-	if !s.opt.NoSync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: fsync: %w", err)
-		}
-		if s.fsyncs != nil {
-			s.fsyncs.Inc()
-		}
-	}
+	s.seq++
 	s.walBytes += int64(len(frame))
 	if s.frames != nil {
 		s.frames.Inc()
@@ -418,49 +425,61 @@ func (s *Store) append(rec *Record) error {
 	return nil
 }
 
+// writeFrame writes one frame at the log's end and fsyncs it. A failed
+// write or fsync is rolled back: the log is truncated to its last good
+// frame so the next frame does not land behind stray bytes (replay stops
+// at the first bad frame and would drop it). If the rollback fails too,
+// the store refuses further appends.
+func (s *Store) writeFrame(frame []byte) error {
+	_, err := s.f.Write(frame)
+	if err != nil {
+		err = fmt.Errorf("store: append: %w", err)
+	} else if !s.opt.NoSync {
+		if err = s.f.Sync(); err != nil {
+			err = fmt.Errorf("store: fsync: %w", err)
+		} else if s.fsyncs != nil {
+			s.fsyncs.Inc()
+		}
+	}
+	if err == nil {
+		return nil
+	}
+	if terr := s.f.Truncate(s.walBytes); terr != nil {
+		s.broken = fmt.Errorf("store: wal tail unknown after failed append: %w", terr)
+	} else if _, serr := s.f.Seek(s.walBytes, io.SeekStart); serr != nil {
+		s.broken = fmt.Errorf("store: wal tail unknown after failed append: %w", serr)
+	}
+	return err
+}
+
 // AppendSpec persists a job submission. spec is marshaled as the opaque
 // wire shape recovery hands back.
 func (s *Store) AppendSpec(job string, spec any, submitted time.Time) error {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return fmt.Errorf("store: marshal spec: %w", err)
-	}
-	return s.append(&Record{Kind: KindSpec, Job: job, Time: submitted.UnixNano(), Data: data})
+	return s.appendData(&Record{Kind: KindSpec, Job: job, Time: submitted.UnixNano()}, spec)
 }
 
-// AppendState persists a lifecycle transition.
-func (s *Store) AppendState(job, state, errMsg string) error {
-	return s.append(&Record{Kind: KindState, Job: job, Time: time.Now().UnixNano(), State: state, Error: errMsg})
+// AppendState persists a job's terminal frame: its state and error, the
+// final series (nil unless done) and its span summary (nil without
+// tracing), so a restarted server restores the job whole from one frame.
+func (s *Store) AppendState(job, state, errMsg string, result, trace any) error {
+	rec := &Record{Kind: KindState, Job: job, Time: time.Now().UnixNano(), State: state, Error: errMsg}
+	if trace != nil {
+		var err error
+		if rec.Trace, err = json.Marshal(trace); err != nil {
+			return fmt.Errorf("store: marshal trace: %w", err)
+		}
+	}
+	if result == nil {
+		return s.append(rec)
+	}
+	return s.appendData(rec, result)
 }
 
 // AppendInterval persists one per-interval estimate — the checkpoint
 // granularity: everything up to the last interval frame survives a
 // crash exactly.
 func (s *Store) AppendInterval(job string, point any) error {
-	data, err := json.Marshal(point)
-	if err != nil {
-		return fmt.Errorf("store: marshal interval: %w", err)
-	}
-	return s.append(&Record{Kind: KindInterval, Job: job, Data: data})
-}
-
-// AppendResult persists the final series of a completed job.
-func (s *Store) AppendResult(job string, result any) error {
-	data, err := json.Marshal(result)
-	if err != nil {
-		return fmt.Errorf("store: marshal result: %w", err)
-	}
-	return s.append(&Record{Kind: KindResult, Job: job, Data: data})
-}
-
-// AppendTrace persists a terminal job's span summary (trace
-// continuity across restarts).
-func (s *Store) AppendTrace(job string, trace any) error {
-	data, err := json.Marshal(trace)
-	if err != nil {
-		return fmt.Errorf("store: marshal trace: %w", err)
-	}
-	return s.append(&Record{Kind: KindTrace, Job: job, Data: data})
+	return s.appendData(&Record{Kind: KindInterval, Job: job}, point)
 }
 
 // Evict removes a job from the store (retention). The history frames
@@ -474,16 +493,22 @@ func (s *Store) Evict(job string) error {
 // address. Re-appending a key overwrites (the value is deterministic,
 // so any overwrite is a no-op in content).
 func (s *Store) AppendCacheResult(key string, value any) error {
-	data, err := json.Marshal(value)
-	if err != nil {
-		return fmt.Errorf("store: marshal cache value: %w", err)
-	}
-	return s.append(&Record{Kind: KindCache, Job: key, Data: data})
+	return s.appendData(&Record{Kind: KindCache, Job: key}, value)
 }
 
 // EvictCacheEntry removes a result-cache entry (capacity eviction).
 func (s *Store) EvictCacheEntry(key string) error {
 	return s.append(&Record{Kind: KindCacheEvict, Job: key})
+}
+
+// appendData appends rec with v marshaled as its Data.
+func (s *Store) appendData(rec *Record, v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("store: marshal %s: %w", rec.Kind, err)
+	}
+	rec.Data = data
+	return s.append(rec)
 }
 
 // CacheEntries returns the materialized result-cache entries in
@@ -621,16 +646,6 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// Sync forces the WAL to disk (no-op unless NoSync batched writes).
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.f.Sync()
 }
 
 // Close syncs and closes the WAL. Further appends return ErrClosed —

@@ -41,18 +41,12 @@ func TestRoundTrip(t *testing.T) {
 	if err := s.AppendSpec("job-1", testSpec{"mesa", 50}, sub); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendState("job-1", "running", ""); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
 		if err := s.AppendInterval("job-1", testPoint{"iq", i, 0.25}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.AppendResult("job-1", map[string]any{"m": 400}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendState("job-1", "done", ""); err != nil {
+	if err := s.AppendState("job-1", "done", "", map[string]any{"m": 400}, []string{"span"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -82,11 +76,11 @@ func TestRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(jr.Intervals[2], &pt); err != nil || pt.Interval != 2 {
 		t.Fatalf("interval[2] = %+v (%v)", pt, err)
 	}
-	if jr.Result == nil {
-		t.Fatal("result not recovered")
+	if string(jr.Result) != `{"m":400}` || string(jr.Trace) != `["span"]` {
+		t.Fatalf("terminal frame payloads = %s, %s", jr.Result, jr.Trace)
 	}
-	if got := r.Seq(); got != 7 {
-		t.Fatalf("seq = %d, want 7", got)
+	if got := r.Seq(); got != 5 {
+		t.Fatalf("seq = %d, want 5", got)
 	}
 }
 
@@ -167,7 +161,7 @@ func TestCompaction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
 		t.Fatalf("no snapshot after compaction: %v", err)
 	}
-	s.AppendState("job-1", "done", "")
+	s.AppendState("job-1", "done", "", nil, nil)
 	s.Close()
 
 	r := openT(t, dir, Options{})
@@ -219,7 +213,7 @@ func TestEvict(t *testing.T) {
 	s := openT(t, dir, Options{})
 	s.AppendSpec("job-1", testSpec{"mesa", 50}, time.Now())
 	s.AppendSpec("job-2", testSpec{"bzip2", 50}, time.Now())
-	s.AppendState("job-1", "done", "")
+	s.AppendState("job-1", "done", "", nil, nil)
 	if err := s.Evict("job-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +237,7 @@ func TestEvictUnknownJobWritesNothing(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := openT(t, dir, Options{Metrics: reg, CompactBytes: -1})
 	s.AppendSpec("job-1", testSpec{"mesa", 50}, time.Now())
-	s.AppendState("job-1", "done", "")
+	s.AppendState("job-1", "done", "", nil, nil)
 	s.AppendSpec("job-2", testSpec{"bzip2", 50}, time.Now())
 
 	frames := reg.Counter("avfd_store_frames_total", "")
@@ -286,7 +280,7 @@ func TestEvictUnknownJobWritesNothing(t *testing.T) {
 func TestClosedStoreRejects(t *testing.T) {
 	s := openT(t, t.TempDir(), Options{})
 	s.Close()
-	if err := s.AppendState("job-1", "done", ""); err != ErrClosed {
+	if err := s.AppendState("job-1", "done", "", nil, nil); err != ErrClosed {
 		t.Fatalf("append on closed store: %v, want ErrClosed", err)
 	}
 	if err := s.Compact(); err != ErrClosed {

@@ -180,7 +180,7 @@ type structState struct {
 
 // Estimator drives Algorithm 1 against a pipeline. Wire it up with Attach
 // (or merge its handlers into your own pipeline.Hooks), then call Tick
-// after every pipeline.Step.
+// after every pipeline.Step or pipeline.SkipIdle that advanced the clock.
 type Estimator struct {
 	p   *pipeline.Pipeline
 	opt Options
@@ -265,10 +265,12 @@ func (e *Estimator) rand() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Tick advances Algorithm 1; call it after every pipeline.Step. At each
-// injection boundary it concludes the live injections (counting failures),
-// clears all error bits, and injects the next error into each monitored
-// structure.
+// Tick advances Algorithm 1; call it after every pipeline.Step or
+// pipeline.SkipIdle that advanced the clock. At each injection boundary it
+// concludes the live injections (counting failures), clears all error
+// bits, and injects the next error into each monitored structure. Below
+// NextTick it returns at once, so a SkipIdle whose limit is at most
+// NextTick leaves every boundary where stepping would put it.
 func (e *Estimator) Tick() {
 	if e.laneMode {
 		e.tickLanes()
@@ -301,6 +303,15 @@ func (e *Estimator) Tick() {
 	if e.opt.OnConcludeScan != nil {
 		e.opt.OnConcludeScan(cycle)
 	}
+}
+
+// NextTick returns the first cycle at which Tick acts: the next injection
+// boundary, or in lane mode the earliest lane conclusion.
+func (e *Estimator) NextTick() int64 {
+	if e.laneMode {
+		return e.nextEvent
+	}
+	return e.nextInject
 }
 
 // conclude finishes the live injection for st, if any, and emits an

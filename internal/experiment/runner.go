@@ -130,6 +130,9 @@ type Result struct {
 	Intervals int
 	Series    []StructSeries
 	Stats     pipeline.Stats
+	// Steps counts the cycles the pipeline simulated one by one; the
+	// other Stats.Cycles - Steps cycles were idle and skipped.
+	Steps int64
 	// DroppedMarks is the softarch chain-truncation diagnostic (should
 	// be 0 or negligible).
 	DroppedMarks int64
@@ -378,8 +381,15 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 	// mode the random schedule makes conclusion cycles data-dependent,
 	// so the loop is condition-driven — stop when every structure has
 	// its Intervals estimates — with a hard cycle cap as a backstop.
+	// Idle cycles are skipped, landing no later than the next cycle at
+	// which the estimator, a sample, a context check or the stop rule
+	// acts, so every one of them sees the cycle it would have seen.
 	totalCycles := intervalCycles * int64(rc.Intervals)
 	capCycles := 4*totalCycles + 4*rc.M
+	stopCycle := totalCycles + 1
+	if rc.Lanes > 1 {
+		stopCycle = capCycles + 1
+	}
 	lanesDone := func() bool {
 		for _, s := range rc.Structures {
 			if len(est.Estimates(s)) < rc.Intervals {
@@ -412,7 +422,8 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 			}
 			nextCtxCheck = p.Cycle() + ctxCheckStride
 		}
-		if !p.Step() {
+		limit := min(est.NextTick(), nextSample, nextCtxCheck, stopCycle)
+		if p.SkipIdle(limit) == 0 && !p.Step() {
 			return nil, fmt.Errorf("experiment: trace ended after %d cycles (%d retired); profiles are cyclic so this indicates a bug",
 				p.Cycle(), p.Retired())
 		}
@@ -434,6 +445,7 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		N:         rc.N,
 		Intervals: rc.Intervals,
 		Stats:     p.Snapshot(),
+		Steps:     p.Steps(),
 		Estimator: est,
 	}
 	res.DroppedMarks = ref.DroppedMarks()

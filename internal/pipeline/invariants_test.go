@@ -79,10 +79,10 @@ func TestPipelinePropertyRandomWorkloads(t *testing.T) {
 	}
 }
 
-// TestNarrowMachineStillCorrect runs the same workload on a minimal
-// 1-wide machine: slower, but the same instructions retire in the same
-// order. The AVF machinery must be configuration-agnostic.
-func TestNarrowMachineStillCorrect(t *testing.T) {
+// narrowConfig is a minimal 1-wide machine: every queue, unit pool and
+// register file close to the smallest the configuration allows.
+func narrowConfig(t *testing.T) config.Config {
+	t.Helper()
 	narrow := config.Default()
 	narrow.FetchWidth = 1
 	narrow.DispatchGroup = 1
@@ -98,7 +98,14 @@ func TestNarrowMachineStillCorrect(t *testing.T) {
 	if err := narrow.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return narrow
+}
 
+// TestNarrowMachineStillCorrect runs the same workload on a minimal
+// 1-wide machine: slower, but the same instructions retire in the same
+// order. The AVF machinery must be configuration-agnostic.
+func TestNarrowMachineStillCorrect(t *testing.T) {
+	narrow := narrowConfig(t)
 	mkSrc := func() trace.Source {
 		return trace.NewLimit(trace.MustNewGenerator(trace.Params{
 			Seed: 77, Blocks: 32, BlockLen: 6,

@@ -12,7 +12,7 @@ package pipeline
 // every estimator conclusion boundary without touching the per-cycle
 // hot path.
 func (p *Pipeline) Occupancies(counts *[NumStructures]int) {
-	counts[StructIQ] = p.queues[QFXU].count + p.queues[QFPU].count + p.queues[QBr].count
+	counts[StructIQ] = p.iqCount()
 	counts[StructReg] = p.cfg.IntRegs - len(p.intRF.free)
 	counts[StructFPReg] = p.cfg.FPRegs - len(p.fpRF.free)
 	counts[StructFXU] = int(p.activeUnits[FUInt])

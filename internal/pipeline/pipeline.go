@@ -179,6 +179,7 @@ type Pipeline struct {
 	pred *branch.Predictor
 
 	cycle   int64
+	steps   int64 // cycles simulated by Step (the rest were skipped idle)
 	seq     int64 // next fetch sequence number
 	retired int64
 
@@ -325,7 +326,81 @@ func (p *Pipeline) Step() bool {
 	p.fetch()
 	p.accountCycle()
 	p.cycle++
+	p.steps++
 	return true
+}
+
+// Steps returns the number of cycles Step has simulated; the other
+// Cycle() - Steps() cycles were skipped by SkipIdle.
+func (p *Pipeline) Steps() int64 { return p.steps }
+
+// SkipIdle advances the clock over the cycles in which Step would change
+// nothing but the busy-unit and issue-queue occupancy sums, landing no
+// later than limit, and returns how many cycles it skipped. A return of
+// 0 means the current cycle may do work (or the pipeline has drained):
+// call Step.
+//
+// A cycle is idle when no logic injection is armed (the armed unit must
+// see its cycle), nothing can retire, complete or issue, dispatch is
+// blocked, and fetch is blocked. Those conditions hold until the
+// earliest in-flight operation completes or, when the fetch stall is all
+// that holds fetch back, until the stall ends: SkipIdle lands at the
+// first of those cycles and limit. Error bits never affect timing, so a
+// drive loop that passes its next estimator, sampling and stop cycle as
+// limit sees exactly what stepping every cycle would show it.
+func (p *Pipeline) SkipIdle(limit int64) int64 {
+	if limit <= p.cycle || p.logicArmed || p.done() {
+		return 0
+	}
+	if !p.rob.empty() && p.rob.front().done {
+		return 0
+	}
+	for q := range p.queues {
+		for _, w := range p.queues[q].ready {
+			if w != 0 {
+				return 0
+			}
+		}
+	}
+	if !p.dispatchBlocked() {
+		return 0
+	}
+	wake := limit
+	// An exhausted source stays exhausted, so only a stall can be all
+	// that holds fetch back.
+	if !p.fetchHalted && !p.instBuf.full() && !p.srcDone {
+		if p.cycle >= p.fetchStallUntil {
+			return 0
+		}
+		wake = min(wake, p.fetchStallUntil)
+	}
+	for _, u := range p.executing {
+		if u.doneCycle <= p.cycle {
+			return 0
+		}
+		wake = min(wake, u.doneCycle)
+	}
+	n := wake - p.cycle
+	p.accrue(n)
+	p.cycle = wake
+	return n
+}
+
+// dispatchBlocked reports whether dispatch would move nothing this
+// cycle. It checks dispatch's guards in dispatch's order.
+func (p *Pipeline) dispatchBlocked() bool {
+	if p.instBuf.empty() || p.rob.full() {
+		return true
+	}
+	f := p.instBuf.front()
+	if q, _ := route(f.inst.Class); q != QNone && !p.queues[q].hasSpace() {
+		return true
+	}
+	if f.inst.HasDst() {
+		file, _ := fileOf(f.inst.Dst)
+		return !p.fileFor(file).canAlloc(1)
+	}
+	return false
 }
 
 // Run steps until the pipeline drains or maxCycles elapse (if > 0). It
@@ -831,12 +906,24 @@ func (p *Pipeline) fetch() {
 	}
 }
 
+// accrue charges n cycles of the current busy units and issue-queue
+// population to the statistics. Idle cycles change neither, so SkipIdle
+// charges a whole idle run at once.
+func (p *Pipeline) accrue(n int64) {
+	for k := 0; k < NumFUKinds; k++ {
+		p.busyUnitCycles[k] += p.activeUnits[k] * n
+	}
+	p.iqOccupancySum += int64(p.iqCount()) * n
+}
+
+// iqCount is the combined population of the issue queues.
+func (p *Pipeline) iqCount() int {
+	return p.queues[QFXU].count + p.queues[QFPU].count + p.queues[QBr].count
+}
+
 // accountCycle updates per-cycle statistics.
 func (p *Pipeline) accountCycle() {
-	for k := 0; k < NumFUKinds; k++ {
-		p.busyUnitCycles[k] += p.activeUnits[k]
-	}
-	p.iqOccupancySum += int64(p.queues[QFXU].count + p.queues[QFPU].count + p.queues[QBr].count)
+	p.accrue(1)
 	// Unconsumed single-cycle logic injections are masked (unit idle).
 	// Mask events are emitted in ascending structure order (matching the
 	// old per-structure pendingLogic sweep), insertion order within one.

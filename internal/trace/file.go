@@ -218,6 +218,10 @@ func (tr *Reader) Next() (isa.Inst, bool) {
 			tr.err = fmt.Errorf("%w: truncated register: %v", ErrBadTrace, err)
 			return false
 		}
+		if !isa.Reg(b).Valid() {
+			tr.err = fmt.Errorf("%w: invalid register %d", ErrBadTrace, b)
+			return false
+		}
 		*dst = isa.Reg(b)
 		return true
 	}

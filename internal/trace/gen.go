@@ -123,51 +123,56 @@ const (
 	maxDepDist     = 48 // cap for the geometric dependency distance
 )
 
-// histEntry records a recent register write. An entry is stale (the value
-// was overwritten) when seq no longer matches the register's latest write.
+// histEntry is one live value: the register holding it and the index of
+// the live write that produced it.
 type histEntry struct {
 	reg isa.Reg
-	seq uint32
+	at  uint32
 }
 
-// histRing is a fixed-size ring of recent live value-producing writes.
+// histRing holds, oldest first, the values produced by the last histCap
+// live writes that are still in their registers. A register has at most
+// one entry: writing it again removes the old one.
 type histRing struct {
-	buf  [histCap]histEntry
-	head int // next slot to write
-	n    int // valid entries
+	live   [histCap]histEntry
+	n      int    // entries in live
+	pushes uint32 // live writes so far (wraps; only differences are used)
 }
 
-func (h *histRing) push(e histEntry) {
-	h.buf[h.head] = e
-	h.head = (h.head + 1) % histCap
-	if h.n < histCap {
-		h.n++
+// write records a write to reg. Its previous value is gone; a live value
+// becomes the newest entry, and the entry produced histCap live writes
+// before it leaves the lookback window.
+func (h *histRing) write(reg isa.Reg, live bool) {
+	for i := 0; i < h.n; i++ {
+		if h.live[i].reg == reg {
+			copy(h.live[i:h.n], h.live[i+1:h.n])
+			h.n--
+			break
+		}
 	}
+	if !live {
+		return
+	}
+	if h.n > 0 && h.pushes-h.live[0].at >= histCap {
+		copy(h.live[:h.n], h.live[1:h.n])
+		h.n--
+	}
+	h.live[h.n] = histEntry{reg: reg, at: h.pushes}
+	h.n++
+	h.pushes++
 }
 
-// pick returns the register written dist live entries ago (1 = most
-// recent), skipping entries whose value has since been overwritten.
-// Returns RegNone when no live entry exists.
-func (h *histRing) pick(dist int, lastSeq *[64]uint32) isa.Reg {
-	if h.n == 0 {
+// pick returns the register written dist (>= 1) live entries ago (1 =
+// most recent), the newest when fewer than dist remain, or RegNone when
+// none does.
+func (h *histRing) pick(dist int) isa.Reg {
+	switch {
+	case h.n == 0:
 		return isa.RegNone
+	case dist > h.n:
+		return h.live[h.n-1].reg
 	}
-	seen := 0
-	var newest isa.Reg = isa.RegNone
-	for i := 1; i <= h.n; i++ {
-		e := h.buf[(h.head-i+histCap*2)%histCap]
-		if lastSeq[e.reg] != e.seq {
-			continue // overwritten; the value is gone
-		}
-		if newest == isa.RegNone {
-			newest = e.reg
-		}
-		seen++
-		if seen >= dist {
-			return e.reg
-		}
-	}
-	return newest // fewer live entries than dist: fall back to newest
+	return h.live[h.n-dist].reg
 }
 
 // block is one static basic block of the synthetic program.
@@ -196,8 +201,6 @@ type Generator struct {
 	seqCursor []uint64 // per-block streaming cursor
 
 	intHist, fpHist histRing
-	lastSeq         [64]uint32
-	seq             uint32
 
 	count int64 // instructions generated
 }
@@ -377,15 +380,10 @@ func (g *Generator) synthBranch(b *block) isa.Inst {
 // overwritten — the generator's mechanism for controllable dead-value
 // masking).
 func (g *Generator) write(reg isa.Reg, live bool) {
-	g.seq++
-	g.lastSeq[reg] = g.seq
-	if live {
-		e := histEntry{reg: reg, seq: g.seq}
-		if reg.IsFP() {
-			g.fpHist.push(e)
-		} else {
-			g.intHist.push(e)
-		}
+	if reg.IsFP() {
+		g.fpHist.write(reg, live)
+	} else {
+		g.intHist.write(reg, live)
 	}
 }
 
@@ -403,7 +401,7 @@ func (g *Generator) allocFP() isa.Reg {
 // distance, falling back to r5 before any value has been produced.
 func (g *Generator) pickInt() isa.Reg {
 	d := g.rng.geometric(g.p.DepDistMean, maxDepDist)
-	if r := g.intHist.pick(d, &g.lastSeq); r != isa.RegNone {
+	if r := g.intHist.pick(d); r != isa.RegNone {
 		return r
 	}
 	return isa.IntReg(firstDataReg)
@@ -412,7 +410,7 @@ func (g *Generator) pickInt() isa.Reg {
 // pickFP is pickInt for the floating-point file.
 func (g *Generator) pickFP() isa.Reg {
 	d := g.rng.geometric(g.p.DepDistMean, maxDepDist)
-	if r := g.fpHist.pick(d, &g.lastSeq); r != isa.RegNone {
+	if r := g.fpHist.pick(d); r != isa.RegNone {
 		return r
 	}
 	return isa.FPReg(0)

@@ -294,24 +294,92 @@ func TestRNGDistributions(t *testing.T) {
 
 func TestHistRingSkipsOverwritten(t *testing.T) {
 	var h histRing
-	var lastSeq [64]uint32
-	// Write r5 (seq 1), r6 (seq 2); then overwrite r5 (seq 3, dead write
-	// not pushed). pick(1) must be r6; the stale r5 entry is skipped at
-	// pick(2).
-	h.push(histEntry{reg: isa.IntReg(5), seq: 1})
-	lastSeq[isa.IntReg(5)] = 1
-	h.push(histEntry{reg: isa.IntReg(6), seq: 2})
-	lastSeq[isa.IntReg(6)] = 2
-	lastSeq[isa.IntReg(5)] = 3 // overwritten
-	if got := h.pick(1, &lastSeq); got != isa.IntReg(6) {
+	// Write r5, r6; then overwrite r5 with a dead value. pick(1) must be
+	// r6, and pick(2) falls back to r6: the overwritten r5 is gone.
+	h.write(isa.IntReg(5), true)
+	h.write(isa.IntReg(6), true)
+	h.write(isa.IntReg(5), false)
+	if got := h.pick(1); got != isa.IntReg(6) {
 		t.Errorf("pick(1) = %v, want r6", got)
 	}
-	if got := h.pick(2, &lastSeq); got != isa.IntReg(6) {
+	if got := h.pick(2); got != isa.IntReg(6) {
 		t.Errorf("pick(2) should fall back to newest live, got %v", got)
 	}
 	var empty histRing
-	if got := empty.pick(1, &lastSeq); got != isa.RegNone {
+	if got := empty.pick(1); got != isa.RegNone {
 		t.Errorf("empty ring pick = %v", got)
+	}
+}
+
+// scanRing is the lookback the generator used before histRing kept only
+// live entries: a ring of the last histCap live writes, each stamped
+// with its write sequence number, scanned newest first past every entry
+// whose register was written again since.
+type scanRing struct {
+	buf [histCap]struct {
+		reg isa.Reg
+		seq uint32
+	}
+	head, n int
+	lastSeq [64]uint32
+	seq     uint32
+}
+
+func (r *scanRing) write(reg isa.Reg, live bool) {
+	r.seq++
+	r.lastSeq[reg] = r.seq
+	if !live {
+		return
+	}
+	r.buf[r.head].reg, r.buf[r.head].seq = reg, r.seq
+	r.head = (r.head + 1) % histCap
+	if r.n < histCap {
+		r.n++
+	}
+}
+
+func (r *scanRing) pick(dist int) isa.Reg {
+	seen, newest := 0, isa.RegNone
+	for i := 1; i <= r.n; i++ {
+		e := r.buf[(r.head-i+histCap)%histCap]
+		if r.lastSeq[e.reg] != e.seq {
+			continue
+		}
+		if newest == isa.RegNone {
+			newest = e.reg
+		}
+		if seen++; seen >= dist {
+			return e.reg
+		}
+	}
+	return newest
+}
+
+// TestHistRingMatchesScan drives histRing and the old scan through the
+// same seeded random writes and picks. Register pools and dead fractions
+// range from a few registers (every pick crosses overwritten entries) to
+// all 64 (entries age out of the window, and the live list fills up),
+// and picks reach past the live count.
+func TestHistRingMatchesScan(t *testing.T) {
+	r := newRNG(2024)
+	for trial := 0; trial < 200; trial++ {
+		regs := 1 + r.intn(histCap)
+		dead := r.float64()
+		var h histRing
+		var old scanRing
+		for op := 0; op < 2000; op++ {
+			if r.bool(0.5) {
+				reg := isa.Reg(r.intn(regs))
+				live := !r.bool(dead)
+				h.write(reg, live)
+				old.write(reg, live)
+				continue
+			}
+			dist := 1 + r.intn(histCap+8)
+			if got, want := h.pick(dist), old.pick(dist); got != want {
+				t.Fatalf("trial %d op %d: pick(%d) = %v, old scan %v", trial, op, dist, got, want)
+			}
+		}
 	}
 }
 

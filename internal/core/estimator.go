@@ -73,20 +73,21 @@ type Options struct {
 	// bit per value means only ONE emulated error may be live in the
 	// whole machine, so injections rotate across the monitored
 	// structures. Each structure then needs len(Structures)×M×N cycles
-	// per estimate instead of M×N. (The simulator's default gives each
-	// structure its own bit-plane, estimating all of them concurrently —
+	// per estimate instead of M×N. (By default every structure has a
+	// live error of its own, estimating all of them concurrently —
 	// equivalent per-injection, 4× faster wall-clock for four
-	// structures.)
+	// structures.) On the lane table this is the injection policy "a
+	// concluded lane passes the turn to the next lane" (lanes.go).
 	Multiplex bool
-	// Lanes > 1 turns on the multi-lane injection engine: up to
-	// pipeline.MaxLanes independent experiments ride the same cycle loop,
-	// each on its own error-bit lane, assigned round-robin to the
-	// monitored structures (lane i → Structures[i % len]). Error
-	// propagation is purely bitwise, so the experiments compose without
-	// interacting, and N injections complete ~Lanes/len(Structures)
-	// times faster in simulated cycles. Lanes <= 1 (the default) keeps
-	// the classic one-plane-per-structure estimator — byte-identical
-	// output, golden-digest guaranteed. Incompatible with Multiplex
+	// Lanes > 1 runs up to pipeline.MaxLanes independent experiments on
+	// the same cycle loop, each on its own error-bit lane, assigned
+	// round-robin to the monitored structures (lane i → Structures[i %
+	// len] on bit i). Error propagation is purely bitwise, so the
+	// experiments compose without interacting, and N injections complete
+	// ~Lanes/len(Structures) times faster in simulated cycles, with one
+	// RandomSchedule gap drawn per lane. Lanes <= 1 (the default) binds
+	// one lane per structure to the structure's own plane bit, with one
+	// gap per boundary — the paper's layout. Incompatible with Multiplex
 	// (whose point is ONE live error machine-wide).
 	Lanes int
 }
@@ -154,25 +155,18 @@ func (e Estimate) StdErr() float64 {
 	return math.Sqrt(p * (1 - p) / float64(e.Injections))
 }
 
-// structState is the per-structure Algorithm 1 state.
+// structState is the per-structure Algorithm 1 state: the round-robin
+// cursor and the counters that every lane monitoring the structure
+// charges.
 type structState struct {
 	s       pipeline.Structure
 	entries int
 
-	nextEntry   int   // round-robin cursor
-	injectedAt  int64 // cycle of the live injection, -1 if none
-	entry       int   // entry/unit index of the live injection
-	failed      bool  // live injection already reached a failure point
+	nextEntry   int // round-robin cursor
 	injections  int
 	failures    int
 	intervalIdx int
 	startCycle  int64
-
-	// Failure details for the lifecycle record (valid while failed,
-	// written only when a Sink is attached).
-	failCycle int64
-	failSeq   int64
-	failClass isa.Class
 
 	estimates []Estimate
 	latencies stats.CDF
@@ -185,23 +179,21 @@ type Estimator struct {
 	p   *pipeline.Pipeline
 	opt Options
 
-	states     [pipeline.NumStructures]*structState
-	active     []*structState
-	nextInject int64
-	rngState   uint64
-	// muxTurn is the index of the structure receiving the next injection
-	// in Multiplex mode.
-	muxTurn int
+	states   [pipeline.NumStructures]*structState
+	active   []*structState
+	rngState uint64
 
-	// concluded counts every concluded injection across all structures
-	// and lanes — what bench/ reports as its core.injections metric.
+	// concluded counts every concluded injection across all lanes —
+	// what bench/ reports as its core.injections metric.
 	concluded int64
 
-	// Multi-lane engine state (lanes.go); laneMode gates Tick's dispatch.
-	laneMode  bool
+	// The lane table (lanes.go). byBit resolves an error bit to its
+	// lane; bits no lane uses resolve to idle, which is never injected.
 	lanes     []laneState
-	nextEvent int64
-	lanePops  [pipeline.MaxLanes]int
+	byBit     [pipeline.MaxLanes]*laneState
+	idle      laneState
+	nextEvent int64 // earliest cycle a lane is due
+	pops      [pipeline.MaxLanes]int
 }
 
 // NewEstimator builds an estimator for p.
@@ -211,27 +203,19 @@ func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
 	}
 	e := &Estimator{p: p, opt: opt, rngState: opt.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 	for _, s := range opt.Structures {
-		st := &structState{
-			s:          s,
-			entries:    p.StructureEntries(s),
-			injectedAt: -1,
-			startCycle: p.Cycle(),
-		}
+		st := &structState{s: s, entries: p.StructureEntries(s), startCycle: p.Cycle()}
 		e.states[s] = st
 		e.active = append(e.active, st)
 	}
-	e.nextInject = p.Cycle() // inject immediately on the first Tick
-	if opt.Lanes > 1 {
-		e.initLanes()
-	}
+	e.initLanes()
 	return e, nil
 }
 
 // Attach installs the estimator's failure handler as the pipeline's hooks.
-// Use HandleFailure (or HandleFailureMask in lane mode) directly if you
+// Use HandleFailure (or HandleFailureMask when Lanes > 1) directly if you
 // need to fan hooks out to several consumers.
 func (e *Estimator) Attach() {
-	if e.laneMode {
+	if e.opt.Lanes > 1 {
 		e.p.SetHooks(pipeline.Hooks{OnFailureMask: e.HandleFailureMask})
 		return
 	}
@@ -239,21 +223,10 @@ func (e *Estimator) Attach() {
 }
 
 // HandleFailure is the pipeline.Hooks.OnFailure sink: a failure-point
-// instruction retired carrying plane s's error bit.
+// instruction retired carrying plane s's error bit. It serves the plane
+// layout (Lanes <= 1), where the pipeline also counts Stats.Failures.
 func (e *Estimator) HandleFailure(s pipeline.Structure, seq, cycle int64, class isa.Class) {
-	st := e.states[s]
-	if st == nil || st.injectedAt < 0 || st.failed {
-		return
-	}
-	st.failed = true
-	if e.opt.RecordLatency {
-		st.latencies.Add(cycle - st.injectedAt)
-	}
-	if e.opt.Sink != nil {
-		st.failCycle = cycle
-		st.failSeq = seq
-		st.failClass = class
-	}
+	e.HandleFailureMask(s.Bit(), seq, cycle, class)
 }
 
 func (e *Estimator) rand() uint64 {
@@ -267,138 +240,19 @@ func (e *Estimator) rand() uint64 {
 
 // Tick advances Algorithm 1; call it after every pipeline.Step or
 // pipeline.SkipIdle that advanced the clock. At each injection boundary it
-// concludes the live injections (counting failures), clears all error
-// bits, and injects the next error into each monitored structure. Below
-// NextTick it returns at once, so a SkipIdle whose limit is at most
-// NextTick leaves every boundary where stepping would put it.
+// concludes the due experiments (counting failures), clears their error
+// bits, and injects the next ones. Below NextTick it returns at once, so
+// a SkipIdle whose limit is at most NextTick leaves every boundary where
+// stepping would put it.
 func (e *Estimator) Tick() {
-	if e.laneMode {
-		e.tickLanes()
-		return
-	}
-	cycle := e.p.Cycle()
-	if cycle < e.nextInject {
-		return
-	}
-	if e.opt.Multiplex {
-		// One live error machine-wide: conclude the structure whose
-		// injection just expired (the previous turn), then hand the
-		// slot to the next structure.
-		prev := (e.muxTurn + len(e.active) - 1) % len(e.active)
-		e.conclude(e.active[prev], cycle)
-		e.inject(e.active[e.muxTurn], cycle)
-		e.muxTurn = (e.muxTurn + 1) % len(e.active)
-	} else {
-		for _, st := range e.active {
-			e.conclude(st, cycle)
-			e.inject(st, cycle)
-		}
-	}
-	if e.opt.RandomSchedule {
-		gap := 1 + int64(e.rand()%uint64(2*e.opt.M))
-		e.nextInject = cycle + gap
-	} else {
-		e.nextInject = cycle + e.opt.M
-	}
-	if e.opt.OnConcludeScan != nil {
-		e.opt.OnConcludeScan(cycle)
+	if cycle := e.p.Cycle(); cycle >= e.nextEvent {
+		e.boundary(cycle)
 	}
 }
 
 // NextTick returns the first cycle at which Tick acts: the next injection
-// boundary, or in lane mode the earliest lane conclusion.
-func (e *Estimator) NextTick() int64 {
-	if e.laneMode {
-		return e.nextEvent
-	}
-	return e.nextInject
-}
-
-// conclude finishes the live injection for st, if any, and emits an
-// estimate when N injections have completed.
-func (e *Estimator) conclude(st *structState, cycle int64) {
-	if st.injectedAt < 0 {
-		return
-	}
-	st.injections++
-	e.concluded++
-	if st.failed {
-		st.failures++
-	}
-	if e.opt.Sink != nil {
-		e.recordInjection(st, cycle)
-	}
-	st.injectedAt = -1
-	st.failed = false
-	e.p.ClearPlane(st.s)
-
-	if st.injections >= e.opt.N {
-		est := Estimate{
-			Structure:  st.s,
-			Interval:   st.intervalIdx,
-			StartCycle: st.startCycle,
-			EndCycle:   cycle,
-			AVF:        float64(st.failures) / float64(st.injections),
-			Failures:   st.failures,
-			Injections: st.injections,
-		}
-		st.estimates = append(st.estimates, est)
-		st.intervalIdx++
-		st.injections = 0
-		st.failures = 0
-		st.startCycle = cycle
-		if e.opt.OnInterval != nil {
-			e.opt.OnInterval(est)
-		}
-	}
-}
-
-// recordInjection emits the lifecycle record for st's live injection,
-// classifying the outcome: failure if a failure point retired with the
-// bit, otherwise masked (plane empty — execution discarded the error)
-// or pending (bits still live at M-expiry, the Section 4 undercount).
-// Called only with a Sink attached, before the plane is cleared.
-func (e *Estimator) recordInjection(st *structState, cycle int64) {
-	rec := obs.Injection{
-		Structure:     st.s,
-		Entry:         st.entry,
-		Interval:      st.intervalIdx,
-		InjectCycle:   st.injectedAt,
-		ConcludeCycle: cycle,
-		ErrBits:       e.p.PlanePopulation(st.s),
-		Lane:          -1,
-	}
-	switch {
-	case st.failed:
-		rec.Outcome = obs.OutcomeFailure
-		rec.Latency = st.failCycle - st.injectedAt
-		rec.FailSeq = st.failSeq
-		rec.FailClass = st.failClass
-	case rec.ErrBits > 0:
-		rec.Outcome = obs.OutcomePending
-	default:
-		rec.Outcome = obs.OutcomeMasked
-	}
-	e.opt.Sink.RecordInjection(rec)
-}
-
-// inject sets the next error bit for st: round-robin (or random) across
-// entries for storage structures and units for logic structures.
-func (e *Estimator) inject(st *structState, cycle int64) {
-	var idx int
-	if e.opt.RandomEntry {
-		idx = int(e.rand() % uint64(st.entries))
-	} else {
-		idx = st.nextEntry
-		st.nextEntry++
-		if st.nextEntry == st.entries {
-			st.nextEntry = 0
-		}
-	}
-	e.p.Inject(st.s, idx)
-	st.injectedAt = cycle
-	st.entry = idx
-}
+// boundary.
+func (e *Estimator) NextTick() int64 { return e.nextEvent }
 
 // Estimates returns the completed per-interval estimates for s (nil if s
 // is not monitored).
@@ -444,12 +298,7 @@ func (e *Estimator) PendingInjections(s pipeline.Structure) int {
 func (e *Estimator) ConcludedInjections() int64 { return e.concluded }
 
 // Lanes returns the configured lane count (1 for the classic estimator).
-func (e *Estimator) Lanes() int {
-	if e.laneMode {
-		return e.opt.Lanes
-	}
-	return 1
-}
+func (e *Estimator) Lanes() int { return max(e.opt.Lanes, 1) }
 
 // Structures returns the monitored structures.
 func (e *Estimator) Structures() []pipeline.Structure {

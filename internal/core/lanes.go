@@ -9,139 +9,164 @@ import (
 	"avfsim/internal/pipeline"
 )
 
-// This file is the multi-lane injection engine (Options.Lanes > 1): up to
-// pipeline.MaxLanes independent Algorithm 1 experiments ride the same
-// cycle loop concurrently, one error-bit lane each. Error propagation is
+// This file is the estimator's one engine: a table of lanes, each an
+// Algorithm 1 experiment on its own error bit. Error propagation is
 // purely bitwise — OR on read, overwrite on write, AND-NOT on clear — so
-// the lanes never interact; the only lane-aware bookkeeping is here, in
-// exactly two places: retire-time failure attribution (HandleFailureMask
-// resolves a retired mask's set bits back to experiments through the lane
-// table) and conclusion (tickLanes expires due lanes, charging each its
-// structure's counters, with ONE fused population scan and ONE fused
-// clear scan per conclusion cycle however many lanes conclude).
+// lanes never interact, and the paper's one-bit-per-structure model and
+// the multi-lane engine are just different bindings of bits to
+// structures. The lane-aware bookkeeping sits in exactly two places:
+// retire-time failure attribution (HandleFailureMask resolves each set
+// bit to its lane through byBit) and the injection boundary (boundary
+// concludes every due lane, charging its structure's counters, with ONE
+// fused population scan and ONE fused clear scan however many lanes
+// conclude).
 //
-// Each lane belongs to a fixed per-structure pool (lane i monitors
-// Structures[i % len(Structures)]) and reinjects the moment it concludes,
-// so lane occupancy stays full for the whole run. Under the fixed
-// schedule every lane's window is exactly M cycles — the same window the
-// classic estimator uses — so per-injection statistics are identical and
-// only the wall-clock per estimate shrinks. Under RandomSchedule each
-// lane draws its own gap from [1, 2M) per injection (the classic
-// estimator draws one global gap for all structures; per-lane draws are
-// what keeps a 64-lane machine from emptying and refilling in lockstep).
-// That schedule difference is lanes>1-only by construction: Lanes <= 1
-// never reaches this file, keeping the classic path byte-identical.
+// Three policies, all derived from Options, tell the modes apart:
+//   - binding: with Lanes <= 1, lane k monitors Structures[k] on the
+//     structure's own plane bit, so Stats.Failures, flight masks and the
+//     sink's Lane -1 read as they always have; with Lanes > 1, lane i
+//     monitors Structures[i % len(Structures)] on bit i;
+//   - injection: a concluded lane reinjects itself, so every lane stays
+//     live; under Multiplex it passes the turn to the next lane instead,
+//     so one error is live machine-wide;
+//   - gap: under RandomSchedule, Lanes <= 1 draws one gap per boundary,
+//     after that boundary's entry draws, which keeps the paper's lanes
+//     in lockstep; Lanes > 1 draws each lane's gap right after its entry
+//     draw, which keeps a 64-lane machine from emptying and refilling in
+//     lockstep. Under the fixed schedule every window is M cycles.
+//
+// Together they reproduce every mode's schedule and RNG draw order, so
+// each mode's output is what its own code path used to produce.
 
 // laneState is one lane's live experiment.
 type laneState struct {
-	st         *structState // owning structure's pool
+	st         *structState // monitored structure
+	bit        int          // error bit the lane's injections set
 	entry      int          // entry/unit index of the live injection
 	injectedAt int64        // cycle of the live injection, -1 if none
-	nextAt     int64        // cycle the lane concludes (then reinjects)
+	nextAt     int64        // cycle the lane is due (concludes, then injects)
 	failed     bool         // live injection already reached a failure point
 
-	// Failure details for the lifecycle record (valid while failed,
-	// written only when a Sink is attached).
+	// Failure details for the lifecycle record (valid while failed).
 	failCycle int64
 	failSeq   int64
 	failClass isa.Class
 }
 
-// initLanes builds the lane table: lane i joins structure
-// Structures[i % len(Structures)]'s pool. Every lane is due immediately
-// (first Tick injects all of them).
+// initLanes builds the lane table under the binding policy. Every lane
+// starts due and not live, so the first Tick injects all of them; under
+// Multiplex only the last lane starts due, and passes the first turn to
+// lane 0.
 func (e *Estimator) initLanes() {
-	e.laneMode = true
-	e.lanes = make([]laneState, e.opt.Lanes)
+	k := len(e.opt.Structures)
+	e.lanes = make([]laneState, max(e.opt.Lanes, k))
+	e.idle.injectedAt = -1
+	for i := range e.byBit {
+		e.byBit[i] = &e.idle
+	}
 	for i := range e.lanes {
-		e.lanes[i] = laneState{
-			st:         e.states[e.opt.Structures[i%len(e.opt.Structures)]],
-			injectedAt: -1,
-			nextAt:     e.p.Cycle(),
+		ln := &e.lanes[i]
+		ln.st = e.states[e.opt.Structures[i%k]]
+		ln.bit = i
+		if e.opt.Lanes <= 1 {
+			ln.bit = int(ln.st.s)
 		}
+		ln.injectedAt = -1
+		ln.nextAt = e.p.Cycle()
+		if e.opt.Multiplex && i < len(e.lanes)-1 {
+			ln.nextAt = math.MaxInt64
+		}
+		e.byBit[ln.bit] = ln
 	}
 	e.nextEvent = e.p.Cycle()
 }
 
 // HandleFailureMask is the pipeline.Hooks.OnFailureMask sink: a
 // failure-point instruction retired carrying the given error bits. Each
-// set bit is one lane's experiment; the lane table attributes the failure
-// to the structure the lane was injected into — the bit index alone no
-// longer says.
+// set bit is one lane's experiment, charged to the structure the lane
+// monitors.
 func (e *Estimator) HandleFailureMask(mask pipeline.ErrMask, seq, cycle int64, class isa.Class) {
 	for m := uint64(mask); m != 0; m &= m - 1 {
-		ln := &e.lanes[bits.TrailingZeros64(m)]
+		ln := e.byBit[bits.TrailingZeros64(m)]
 		if ln.injectedAt < 0 || ln.failed {
 			continue
 		}
 		ln.failed = true
+		ln.failCycle, ln.failSeq, ln.failClass = cycle, seq, class
 		if e.opt.RecordLatency {
 			ln.st.latencies.Add(cycle - ln.injectedAt)
-		}
-		if e.opt.Sink != nil {
-			ln.failCycle = cycle
-			ln.failSeq = seq
-			ln.failClass = class
 		}
 	}
 }
 
-// tickLanes advances the lane engine; nextEvent (the min of every lane's
-// due cycle) keeps the off-cycle cost to one comparison.
-func (e *Estimator) tickLanes() {
-	cycle := e.p.Cycle()
-	if cycle < e.nextEvent {
-		return
-	}
-
-	// Gather the lanes concluding this cycle, then sample all their
-	// populations in one fused scan (only needed for sink records and
-	// flight clear delimiters).
-	var concludeMask pipeline.ErrMask
+// boundary is Algorithm 1's injection boundary at cycle: conclude every
+// due lane's experiment, wipe the concluded bits, and inject the next
+// experiments under the injection and gap policies.
+func (e *Estimator) boundary(cycle int64) {
+	// Gather the due lanes, then sample their populations in one fused
+	// scan (only sink records and flight clear delimiters need them).
+	var due pipeline.ErrMask
 	for i := range e.lanes {
 		if ln := &e.lanes[i]; ln.nextAt <= cycle && ln.injectedAt >= 0 {
-			concludeMask |= pipeline.LaneBit(i)
+			due |= pipeline.LaneBit(ln.bit)
 		}
 	}
 	recOn := e.p.RecorderAttached()
-	if concludeMask != 0 && (e.opt.Sink != nil || recOn) {
-		e.p.PlanePopulations(concludeMask, &e.lanePops)
+	if due != 0 && (e.opt.Sink != nil || recOn) {
+		e.p.PlanePopulations(due, &e.pops)
 	}
 
-	// Per-lane conclusion bookkeeping, then ONE fused clear scan.
+	// Conclude in lane order, then ONE fused clear scan.
+	for i := range e.lanes {
+		if ln := &e.lanes[i]; ln.nextAt <= cycle && ln.injectedAt >= 0 {
+			e.conclude(ln, cycle)
+			if recOn {
+				e.p.EmitLaneClear(ln.st.s, ln.bit, e.pops[ln.bit])
+			}
+		}
+	}
+	e.p.ClearPlanes(due)
+
+	// Inject after the wipe, so fresh bits survive it.
+	perLaneGap := e.opt.Lanes > 1
 	for i := range e.lanes {
 		ln := &e.lanes[i]
-		if ln.nextAt > cycle || ln.injectedAt < 0 {
+		if ln.nextAt > cycle {
 			continue
 		}
-		e.concludeLane(i, ln, cycle)
-		if recOn {
-			e.p.EmitLaneClear(ln.st.s, i, e.lanePops[i])
+		if e.opt.Multiplex {
+			ln.nextAt = math.MaxInt64
+			ln = &e.lanes[(i+1)%len(e.lanes)]
+		}
+		e.inject(ln, cycle)
+		if perLaneGap {
+			ln.nextAt = cycle + e.gap()
 		}
 	}
-	e.p.ClearPlanes(concludeMask)
-
-	// Reinject every due lane (after the wipe, so fresh bits survive)
-	// and recompute the next due cycle.
+	var shared int64
+	if !perLaneGap {
+		shared = cycle + e.gap()
+	}
 	e.nextEvent = math.MaxInt64
 	for i := range e.lanes {
 		ln := &e.lanes[i]
-		if ln.nextAt <= cycle {
-			e.injectLane(i, ln, cycle)
+		if !perLaneGap && ln.injectedAt == cycle {
+			ln.nextAt = shared
 		}
-		if ln.nextAt < e.nextEvent {
-			e.nextEvent = ln.nextAt
-		}
+		e.nextEvent = min(e.nextEvent, ln.nextAt)
 	}
 	if e.opt.OnConcludeScan != nil {
 		e.opt.OnConcludeScan(cycle)
 	}
 }
 
-// concludeLane finishes lane i's live experiment: charge the owning
-// structure's Algorithm 1 counters, emit the lifecycle record, and emit
-// the structure's estimate once its pool has accumulated N injections.
-func (e *Estimator) concludeLane(i int, ln *laneState, cycle int64) {
+// conclude finishes ln's live experiment: charge its structure's
+// Algorithm 1 counters, emit the lifecycle record, and emit the
+// structure's estimate once N injections have concluded. The record's
+// outcome is failure if a failure point retired with the bit, otherwise
+// masked (no bits left — execution discarded the error) or pending (bits
+// still live at M-expiry, the Section 4 undercount).
+func (e *Estimator) conclude(ln *laneState, cycle int64) {
 	st := ln.st
 	st.injections++
 	e.concluded++
@@ -155,8 +180,11 @@ func (e *Estimator) concludeLane(i int, ln *laneState, cycle int64) {
 			Interval:      st.intervalIdx,
 			InjectCycle:   ln.injectedAt,
 			ConcludeCycle: cycle,
-			ErrBits:       e.lanePops[i],
-			Lane:          i,
+			ErrBits:       e.pops[ln.bit],
+			Lane:          -1,
+		}
+		if e.opt.Lanes > 1 {
+			rec.Lane = ln.bit
 		}
 		switch {
 		case ln.failed:
@@ -195,10 +223,10 @@ func (e *Estimator) concludeLane(i int, ln *laneState, cycle int64) {
 	}
 }
 
-// injectLane starts lane i's next experiment: pick the entry through the
-// owning structure's shared round-robin cursor (or at random), set the
-// lane's bit, and schedule the conclusion one gap out.
-func (e *Estimator) injectLane(i int, ln *laneState, cycle int64) {
+// inject starts ln's next experiment: pick the entry through the
+// structure's shared round-robin cursor (or at random) and set the lane's
+// bit there — entries for storage structures, units for logic ones.
+func (e *Estimator) inject(ln *laneState, cycle int64) {
 	st := ln.st
 	var idx int
 	if e.opt.RandomEntry {
@@ -210,15 +238,16 @@ func (e *Estimator) injectLane(i int, ln *laneState, cycle int64) {
 			st.nextEntry = 0
 		}
 	}
-	e.p.InjectLane(st.s, idx, i)
+	e.p.InjectLane(st.s, idx, ln.bit)
 	ln.entry = idx
 	ln.injectedAt = cycle
+}
+
+// gap draws the cycles until an injection concludes: M, or under
+// RandomSchedule uniform in [1, 2M) with mean M.
+func (e *Estimator) gap() int64 {
 	if e.opt.RandomSchedule {
-		// Per-lane gap draw (mean M): the lanes of a pool desynchronize
-		// instead of concluding in lockstep, and reinject-on-conclude
-		// keeps occupancy full between draws.
-		ln.nextAt = cycle + 1 + int64(e.rand()%uint64(2*e.opt.M))
-	} else {
-		ln.nextAt = cycle + e.opt.M
+		return 1 + int64(e.rand()%uint64(2*e.opt.M))
 	}
+	return e.opt.M
 }

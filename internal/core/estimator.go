@@ -92,8 +92,9 @@ type Options struct {
 	Lanes int
 }
 
-// validate applies defaults and checks ranges.
-func (o *Options) validate() error {
+// Validate reports why NewEstimator would reject o, or nil. Empty
+// Structures stands for the paper's four.
+func (o Options) Validate() error {
 	if o.M <= 0 {
 		return errors.New("core: Options.M must be positive")
 	}
@@ -101,7 +102,7 @@ func (o *Options) validate() error {
 		return errors.New("core: Options.N must be positive")
 	}
 	if len(o.Structures) == 0 {
-		o.Structures = append([]pipeline.Structure(nil), pipeline.PaperStructures...)
+		o.Structures = pipeline.PaperStructures
 	}
 	var seen [pipeline.NumStructures]bool
 	for _, s := range o.Structures {
@@ -198,8 +199,11 @@ type Estimator struct {
 
 // NewEstimator builds an estimator for p.
 func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
-	if err := opt.validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
+	}
+	if len(opt.Structures) == 0 {
+		opt.Structures = append([]pipeline.Structure(nil), pipeline.PaperStructures...)
 	}
 	e := &Estimator{p: p, opt: opt, rngState: opt.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 	for _, s := range opt.Structures {

@@ -88,7 +88,7 @@ type RunConfig struct {
 	Microtel *microtel.Collector
 }
 
-func (c *RunConfig) defaults() error {
+func (c *RunConfig) defaults() {
 	if c.M == 0 {
 		c.M = 1000
 	}
@@ -101,13 +101,25 @@ func (c *RunConfig) defaults() error {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.M < 0 || c.N < 0 || c.Intervals < 0 || c.Scale < 0 || c.Scale > 1 {
-		return errors.New("experiment: negative or out-of-range run parameters")
-	}
 	if len(c.Structures) == 0 {
 		c.Structures = append([]pipeline.Structure(nil), pipeline.PaperStructures...)
 	}
-	return nil
+}
+
+// Validate reports why RunCtx would reject rc's run parameters, or nil.
+// It applies the defaults to a copy and runs the range checks and the
+// estimator's option checks, which RunCtx runs first; it does not
+// resolve the workload. A service can call it to refuse a bad spec
+// before queueing it.
+func (rc RunConfig) Validate() error {
+	rc.defaults()
+	if rc.M < 0 || rc.N < 0 || rc.Intervals < 0 || rc.Lanes < 0 || rc.Scale < 0 || rc.Scale > 1 {
+		return errors.New("experiment: negative or out-of-range run parameters")
+	}
+	if rc.Window > softarch.MaxWindow {
+		return fmt.Errorf("experiment: window %d exceeds %d", rc.Window, softarch.MaxWindow)
+	}
+	return core.Options{M: rc.M, N: rc.N, Structures: rc.Structures, Multiplex: rc.Multiplex, Lanes: rc.Lanes}.Validate()
 }
 
 // StructSeries holds the three per-interval AVF series for one structure.
@@ -245,9 +257,10 @@ const ctxCheckStride = 2048
 // RunCtx is Run with cancellation: when ctx is done the simulation
 // stops within ctxCheckStride cycles and RunCtx returns ctx.Err().
 func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
-	if err := rc.defaults(); err != nil {
+	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
+	rc.defaults()
 	var src trace.Source
 	name := rc.Benchmark
 	if rc.Source != nil {

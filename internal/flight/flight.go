@@ -29,6 +29,10 @@ import (
 // small enough (~5 MB) to attach one per job without thought.
 const DefaultCap = 1 << 16
 
+// MaxCap is the largest event capacity of a Recorder. The ring is
+// preallocated at 72 bytes per event, so this caps it at 72 MiB.
+const MaxCap = 1 << 20
+
 // Recorder is a bounded flight recorder of pipeline error-bit events.
 // It implements pipeline.ErrRecorder; when the ring is full the OLDEST
 // events are dropped (flight-recorder semantics: the most recent history
@@ -44,11 +48,12 @@ type Recorder struct {
 }
 
 // New builds a recorder holding up to capacity events (rounded up to a
-// power of two; DefaultCap if capacity <= 0).
+// power of two; DefaultCap if capacity <= 0, MaxCap if it is larger).
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
+	capacity = min(capacity, MaxCap)
 	n := 1
 	for n < capacity {
 		n <<= 1

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"avfsim/internal/config"
 	"avfsim/internal/core"
@@ -52,6 +53,24 @@ func TestRecorderRingDropsOldest(t *testing.T) {
 	for i, ev := range events {
 		if ev.Cycle != int64(6+i) {
 			t.Errorf("event %d cycle = %d, want %d (oldest must go first)", i, ev.Cycle, 6+i)
+		}
+	}
+}
+
+// TestNewCapsCapacity: New never rounds past MaxCap. A capacity above
+// 2^62 once overflowed the power-of-two round-up to 0 and looped
+// forever; smaller ones allocated whatever they asked for.
+func TestNewCapsCapacity(t *testing.T) {
+	for _, c := range []int{MaxCap + 1, 1<<62 + 1} {
+		got := make(chan int, 1)
+		go func() { got <- len(New(c).buf) }()
+		select {
+		case n := <-got:
+			if n != MaxCap {
+				t.Errorf("New(%d) holds %d events, want MaxCap=%d", c, n, MaxCap)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("New(%d) did not return", c)
 		}
 	}
 }

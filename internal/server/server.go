@@ -65,7 +65,7 @@ type JobSpec struct {
 	N              int      `json:"n,omitempty"`
 	Intervals      int      `json:"intervals,omitempty"`
 	Structures     []string `json:"structures,omitempty"`
-	Window         int      `json:"window,omitempty"`
+	Window         int      `json:"window,omitempty"` // at most softarch.MaxWindow
 	RandomEntry    bool     `json:"random_entry,omitempty"`
 	RandomSchedule bool     `json:"random_schedule,omitempty"`
 	Multiplex      bool     `json:"multiplex,omitempty"`
@@ -78,7 +78,8 @@ type JobSpec struct {
 	// Flight attaches a flight recorder: every error-bit event of the
 	// run is retained (bounded ring, newest wins) and served as
 	// propagation traces at GET /v1/jobs/{id}/flight. FlightCap bounds
-	// the ring (events; default flight.DefaultCap).
+	// the ring (events; default flight.DefaultCap, at most
+	// flight.MaxCap).
 	Flight    bool `json:"flight,omitempty"`
 	FlightCap int  `json:"flight_cap,omitempty"`
 	// Microtel attaches the microarchitectural telemetry collector:
@@ -109,8 +110,9 @@ type JobSpec struct {
 // class resolves the spec's SLO tier (empty = standard).
 func (js *JobSpec) class() (sched.Class, error) { return sched.ParseClass(js.SLOClass) }
 
-// runConfig translates the spec, validating names early so submission
-// errors surface as 400s instead of failed jobs.
+// runConfig translates the spec and runs the checks RunCtx runs first
+// (experiment.RunConfig.Validate), so submission errors surface as 400s
+// instead of failed jobs.
 func (js *JobSpec) runConfig() (experiment.RunConfig, error) {
 	rc := experiment.RunConfig{
 		Benchmark:      js.Benchmark,
@@ -125,11 +127,8 @@ func (js *JobSpec) runConfig() (experiment.RunConfig, error) {
 		Multiplex:      js.Multiplex,
 		Lanes:          js.Lanes,
 	}
-	if js.Lanes < 0 || js.Lanes > pipeline.MaxLanes {
-		return rc, fmt.Errorf("lanes %d out of range [0, %d]", js.Lanes, pipeline.MaxLanes)
-	}
-	if js.Lanes > 1 && js.Multiplex {
-		return rc, errors.New("lanes > 1 is incompatible with multiplex")
+	if js.FlightCap > flight.MaxCap {
+		return rc, fmt.Errorf("flight_cap %d exceeds %d", js.FlightCap, flight.MaxCap)
 	}
 	if _, err := workload.ByName(js.Benchmark); err != nil {
 		return rc, err
@@ -141,16 +140,7 @@ func (js *JobSpec) runConfig() (experiment.RunConfig, error) {
 		}
 		rc.Structures = append(rc.Structures, s)
 	}
-	if js.Lanes > 1 {
-		nStructs := len(rc.Structures)
-		if nStructs == 0 {
-			nStructs = len(pipeline.PaperStructures)
-		}
-		if js.Lanes < nStructs {
-			return rc, fmt.Errorf("lanes %d < %d monitored structures", js.Lanes, nStructs)
-		}
-	}
-	return rc, nil
+	return rc, rc.Validate()
 }
 
 // IntervalPoint is one streamed per-interval estimate.

@@ -26,6 +26,7 @@ package softarch
 
 import (
 	"errors"
+	"fmt"
 
 	"avfsim/internal/pipeline"
 )
@@ -36,16 +37,28 @@ type Options struct {
 	// estimator's M*N.
 	IntervalCycles int64
 	// Window is the node-ring capacity (rounded up to a power of two).
-	// It bounds how far back ACE marking can reach. Default 1<<17.
+	// It bounds how far back ACE marking can reach. Default
+	// DefaultWindow; at most MaxWindow.
 	Window int
 }
+
+const (
+	// DefaultWindow is the node-ring capacity when Options.Window <= 0.
+	DefaultWindow = 1 << 17
+	// MaxWindow is the largest accepted Options.Window: the ring
+	// preallocates one node per slot, so this caps it at 56 MiB.
+	MaxWindow = 1 << 20
+)
 
 func (o *Options) validate() error {
 	if o.IntervalCycles <= 0 {
 		return errors.New("softarch: IntervalCycles must be positive")
 	}
 	if o.Window <= 0 {
-		o.Window = 1 << 17
+		o.Window = DefaultWindow
+	}
+	if o.Window > MaxWindow {
+		return fmt.Errorf("softarch: Window %d exceeds %d", o.Window, MaxWindow)
 	}
 	// Round up to a power of two for cheap masking.
 	w := 1

@@ -3,6 +3,7 @@ package softarch
 import (
 	"math"
 	"testing"
+	"time"
 
 	"avfsim/internal/config"
 	"avfsim/internal/isa"
@@ -46,6 +47,31 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if a.opt.Window != 128 {
 		t.Errorf("window not rounded to power of two: %d", a.opt.Window)
+	}
+}
+
+// TestOptionsRejectHugeWindow: a Window past MaxWindow is an error. One
+// above 2^62 once overflowed the power-of-two round-up to 0 and looped
+// forever; smaller ones allocated whatever they asked for.
+func TestOptionsRejectHugeWindow(t *testing.T) {
+	for _, w := range []int{MaxWindow + 1, 1<<62 + 1, math.MaxInt} {
+		got := make(chan error, 1)
+		go func() {
+			o := Options{IntervalCycles: 100, Window: w}
+			got <- o.validate()
+		}()
+		select {
+		case err := <-got:
+			if err == nil {
+				t.Errorf("Window %d accepted", w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("validating Window %d did not return", w)
+		}
+	}
+	o := Options{IntervalCycles: 100, Window: MaxWindow}
+	if err := o.validate(); err != nil || o.Window != MaxWindow {
+		t.Errorf("Window MaxWindow: err %v, window %d", err, o.Window)
 	}
 }
 

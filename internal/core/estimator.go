@@ -181,7 +181,6 @@ type Estimator struct {
 	opt Options
 
 	states   [pipeline.NumStructures]*structState
-	active   []*structState
 	rngState uint64
 
 	// concluded counts every concluded injection across all lanes —
@@ -207,9 +206,7 @@ func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
 	}
 	e := &Estimator{p: p, opt: opt, rngState: opt.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 	for _, s := range opt.Structures {
-		st := &structState{s: s, entries: p.StructureEntries(s), startCycle: p.Cycle()}
-		e.states[s] = st
-		e.active = append(e.active, st)
+		e.states[s] = &structState{s: s, entries: p.StructureEntries(s), startCycle: p.Cycle()}
 	}
 	e.initLanes()
 	return e, nil
@@ -306,9 +303,5 @@ func (e *Estimator) Lanes() int { return max(e.opt.Lanes, 1) }
 
 // Structures returns the monitored structures.
 func (e *Estimator) Structures() []pipeline.Structure {
-	out := make([]pipeline.Structure, len(e.active))
-	for i, st := range e.active {
-		out[i] = st.s
-	}
-	return out
+	return append([]pipeline.Structure(nil), e.opt.Structures...)
 }

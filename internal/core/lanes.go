@@ -23,9 +23,9 @@ import (
 //
 // Three policies, all derived from Options, tell the modes apart:
 //   - binding: with Lanes <= 1, lane k monitors Structures[k] on the
-//     structure's own plane bit, so Stats.Failures, flight masks and the
-//     sink's Lane -1 read as they always have; with Lanes > 1, lane i
-//     monitors Structures[i % len(Structures)] on bit i;
+//     structure's own plane bit, the layout that Stats.Failures, the
+//     flight masks and the sink's Lane -1 describe; with Lanes > 1, lane
+//     i monitors Structures[i % len(Structures)] on bit i;
 //   - injection: a concluded lane reinjects itself, so every lane stays
 //     live; under Multiplex it passes the turn to the next lane instead,
 //     so one error is live machine-wide;
@@ -35,8 +35,8 @@ import (
 //     draw, which keeps a 64-lane machine from emptying and refilling in
 //     lockstep. Under the fixed schedule every window is M cycles.
 //
-// Together they reproduce every mode's schedule and RNG draw order, so
-// each mode's output is what its own code path used to produce.
+// Together they fix each mode's schedule and RNG draw order, which
+// TestEngineDigests pins for every mode.
 
 // laneState is one lane's live experiment.
 type laneState struct {

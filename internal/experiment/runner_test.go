@@ -7,6 +7,7 @@ import (
 	"avfsim/internal/config"
 	"avfsim/internal/core"
 	"avfsim/internal/pipeline"
+	"avfsim/internal/softarch"
 	"avfsim/internal/stats"
 	"avfsim/internal/trace"
 	"avfsim/internal/workload"
@@ -131,11 +132,21 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(RunConfig{Benchmark: "nosuch"}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Run(RunConfig{Benchmark: "mesa", M: -1}); err == nil {
-		t.Error("negative M accepted")
-	}
-	if _, err := Run(RunConfig{Benchmark: "mesa", Scale: 2}); err == nil {
-		t.Error("scale > 1 accepted")
+	// Validate refuses what Run refuses before it builds anything.
+	for _, rc := range []RunConfig{
+		{Benchmark: "mesa", M: -1},
+		{Benchmark: "mesa", Scale: 2},
+		{Benchmark: "mesa", Lanes: -1},
+		{Benchmark: "mesa", Lanes: 8, Multiplex: true},
+		{Benchmark: "mesa", Window: softarch.MaxWindow + 1},
+		{Benchmark: "mesa", Structures: []pipeline.Structure{pipeline.StructIQ, pipeline.StructIQ}},
+	} {
+		if rc.Validate() == nil {
+			t.Errorf("%+v: Validate accepted it", rc)
+		}
+		if _, err := Run(rc); err == nil {
+			t.Errorf("%+v: Run accepted it", rc)
+		}
 	}
 }
 

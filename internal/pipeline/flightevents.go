@@ -131,7 +131,7 @@ func (p *Pipeline) SetRecorder(r ErrRecorder) {
 }
 
 // RecorderAttached reports whether a flight recorder is attached — the
-// lane engine checks it before computing per-lane populations that only
+// estimator checks it before computing per-lane populations that only
 // feed clear-event emission.
 func (p *Pipeline) RecorderAttached() bool { return p.recOn }
 

@@ -70,8 +70,9 @@ func (p *Pipeline) iqSlot(idx int) (QueueID, int) {
 // a unit that will see the armed cycle) — diagnostic only; masking is
 // decided by the normal propagation rules.
 //
-// Inject uses the plane layout: the bit set is s.Bit(). The lane engine
-// uses InjectLane instead.
+// Inject uses the plane layout: the bit set is s.Bit(). The estimator's
+// lane table uses InjectLane, which sets the same bit for a lane bound to
+// s's plane.
 func (p *Pipeline) Inject(s Structure, idx int) bool {
 	return p.injectBit(s, idx, s.Bit())
 }
@@ -166,9 +167,9 @@ func (p *Pipeline) armLogic(s Structure, unit int, bit ErrMask) {
 
 // ClearPlane removes every error bit of structure s from the machine:
 // physical registers, in-flight instructions, and any armed logic
-// injection. The estimator calls this between injections so exactly one
-// emulated error is live at a time (Section 3.1). Plane layout only; the
-// lane engine uses ClearPlanes with a lane mask.
+// injection, so exactly one emulated error per plane is live at a time
+// (Section 3.1). Plane layout only; the estimator clears every lane it
+// concludes in one ClearPlanes scan instead.
 func (p *Pipeline) ClearPlane(s Structure) {
 	if p.recOn {
 		// The clear delimits the injection window for the flight
@@ -184,9 +185,9 @@ func (p *Pipeline) ClearPlane(s Structure) {
 
 // ClearPlanes removes every bit in mask from the machine in ONE
 // full-machine scan — concluding many same-cycle experiments costs the
-// same as concluding one. It emits no flight events: multi-lane callers
-// emit their own per-lane delimiters (EmitLaneClear) first, with the
-// structure attribution only the lane table knows.
+// same as concluding one. It emits no flight events: the estimator emits
+// its own per-lane delimiters (EmitLaneClear) first, with the structure
+// attribution only the lane table knows.
 func (p *Pipeline) ClearPlanes(mask ErrMask) {
 	if mask == 0 {
 		return
@@ -230,12 +231,10 @@ func (p *Pipeline) clearScan(mask ErrMask) {
 
 // PlanePopulation counts the live error bits of structure s everywhere
 // they can reside — physical registers, in-flight ROB entries, TLB
-// entries, the fetch path, and an armed logic injection. The
-// observability layer samples it when an injection concludes to
-// distinguish masked errors (population 0: execution discarded the
-// error) from still-pending ones, and to track each plane's error-bit
-// high-water mark. The scan mirrors ClearPlane and runs once per M
-// cycles per structure, so its cost is amortized to noise.
+// entries, the fetch path, and an armed logic injection: the population
+// that distinguishes masked errors (0: execution discarded the error)
+// from still-pending ones. The scan mirrors ClearPlane. The estimator
+// uses the fused PlanePopulations instead; tests compare the two.
 func (p *Pipeline) PlanePopulation(s Structure) int {
 	bit := s.Bit()
 	n := 0
@@ -296,8 +295,8 @@ func (p *Pipeline) PlanePopulation(s Structure) int {
 
 // PlanePopulations counts the live bits of every lane in mask in ONE
 // full-machine scan, writing lane i's population to counts[i] (only the
-// set lanes' slots are written). The multi-lane engine samples it once
-// per conclusion cycle where the legacy path would scan per structure.
+// set lanes' slots are written). The estimator samples it once per
+// injection boundary, however many lanes conclude there.
 func (p *Pipeline) PlanePopulations(mask ErrMask, counts *[MaxLanes]int) {
 	if mask == 0 {
 		return

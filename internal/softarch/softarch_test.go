@@ -328,8 +328,8 @@ func TestTLBFillWithoutReuseNotACE(t *testing.T) {
 }
 
 func TestPendingCompaction(t *testing.T) {
-	// Push enough closed register segments through settlement to force
-	// the pendingHead compaction path, then verify accounting survives.
+	// Push enough closed register segments through settlement to cycle
+	// the queue's chunks many times, then verify accounting survives.
 	a := newAnalyzer(t, 1_000_000, 64) // tiny window -> fast settlement
 	cycle := int64(0)
 	seq := int64(0)

@@ -286,6 +286,55 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 	}
 }
 
+// TestShutdownDeadlineCancelsClaimedTask: a task a worker claims after
+// Shutdown began, and whose function exits only when canceled, is
+// canceled at the deadline. A worker claims the next queued task as soon
+// as the running one returns, which can be just before the deadline's
+// cancelAll drains the queue; the pool then canceled only queued tasks,
+// and Shutdown waited forever.
+func TestShutdownDeadlineCancelsClaimedTask(t *testing.T) {
+	p := New(Options{Workers: 1, QueueCap: 8})
+	fn, release := block()
+	defer release()
+	first := mustSubmit(t, p, fn)
+	waitState(t, first, StateRunning)
+	second := mustSubmit(t, p, func(ctx context.Context, _ func(any)) error {
+		<-ctx.Done()
+		return ctx.Err()
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- p.Shutdown(ctx) }()
+	for !isClosed(p) {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	waitState(t, second, StateRunning)
+	select {
+	case err := <-shut:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Shutdown err = %v, want deadline exceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown did not return 5 s after its 200 ms deadline: the claimed task was never canceled")
+	}
+	if err := first.Wait(context.Background()); err != nil {
+		t.Errorf("released task err = %v, want nil", err)
+	}
+	if err := second.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Errorf("claimed task err = %v, want canceled", err)
+	}
+}
+
+// isClosed reports whether Shutdown has closed p to new work.
+func isClosed(p *Pool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
+}
+
 // TestConcurrentSubmitCancel races submitters against cancelers; run
 // with -race. Every task must reach a terminal state.
 func TestConcurrentSubmitCancel(t *testing.T) {

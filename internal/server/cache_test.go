@@ -120,7 +120,7 @@ func TestCacheKeySpecEquivalence(t *testing.T) {
 	}
 
 	different := []string{
-		`{"benchmark":"gzip","scale":0.02,"seed":3,"m":400,"n":50,"intervals":3}`,
+		`{"benchmark":"art","scale":0.02,"seed":3,"m":400,"n":50,"intervals":3}`,
 		`{"benchmark":"bzip2","scale":0.02,"seed":4,"m":400,"n":50,"intervals":3}`,
 		`{"benchmark":"bzip2","scale":0.5,"seed":3,"m":400,"n":50,"intervals":3}`,
 		`{"benchmark":"bzip2","scale":0.02,"seed":3,"m":500,"n":50,"intervals":3}`,
@@ -492,6 +492,43 @@ func TestRetentionPinsLiveReaders(t *testing.T) {
 	srv.mu.Unlock()
 	if kept || n != 1 {
 		t.Fatalf("after unpin: old kept=%v, %d jobs retained, want only %s", kept, n, fresh.id)
+	}
+}
+
+// TestRetentionKeepsUnreadHit: a cache hit is born terminal, so a sweep
+// can run between its 202 and its client's first request. The count cap
+// used to evict it once retMax newer jobs had ended, and the client's
+// stream got a 404 for a job it had just been handed.
+func TestRetentionKeepsUnreadHit(t *testing.T) {
+	const retMax = 4
+	ts, srv, _ := newCacheServer(t, 1, 8, WithRetention(0, retMax))
+	lead, _ := postJob(t, ts, tinyJob)
+	waitTerminal(t, ts, lead, 60*time.Second)
+	ref := streamBytes(t, ts, lead)
+
+	hit, _ := postJobAny(t, ts, tinyJob)
+	if hit["cached"] != true {
+		t.Fatalf("submit not a cache hit: %+v", hit)
+	}
+	for i := 0; i < retMax+1; i++ {
+		if out, _ := postJobAny(t, ts, tinyJob); out["cached"] != true {
+			t.Fatalf("submit %d not a cache hit: %+v", i, out)
+		}
+	}
+	srv.sweepRetention(time.Now())
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + hit["id"].(string) + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(b) != ref {
+		t.Fatalf("stream of the unread hit: status %d, body %q; want 200 and the leader's stream %q",
+			resp.StatusCode, b, ref)
 	}
 }
 

@@ -103,6 +103,11 @@ type job struct {
 	// spans/coverage); retention defers eviction while nonzero so a live
 	// reader's job can never be deleted under it.
 	streamRefs int
+	// lookedUp marks a job some request has asked for by ID. Until then,
+	// and for janitorPeriod after it ends, the count cap keeps it: a
+	// cache hit is born terminal, and its client may hold the 202 but
+	// not yet have asked. Guarded by the Server's mu, not the job's.
+	lookedUp bool
 }
 
 func newJob(id string, spec JobSpec, submitted time.Time) *job {

@@ -175,7 +175,8 @@ func (s *Server) janitor() {
 
 // sweepRetention evicts terminal jobs past the TTL or beyond the
 // newest retMax, from both the in-memory table and the store. Running
-// jobs are never touched.
+// jobs are never touched, and the count cap spares a job no request has
+// looked up until janitorPeriod after it ended.
 func (s *Server) sweepRetention(now time.Time) {
 	if s.retTTL <= 0 && s.retMax <= 0 {
 		return
@@ -202,7 +203,7 @@ func (s *Server) sweepRetention(now time.Time) {
 		switch {
 		case s.retTTL > 0 && now.Sub(f.at) > s.retTTL:
 			evict = append(evict, f.j)
-		case s.retMax > 0 && i >= s.retMax:
+		case s.retMax > 0 && i >= s.retMax && (f.j.lookedUp || now.Sub(f.at) > janitorPeriod):
 			evict = append(evict, f.j)
 		}
 	}

@@ -252,7 +252,10 @@ func TestRetentionOfHitsWritesNoFrames(t *testing.T) {
 			t.Fatalf("submit %d not a cache hit: %+v", i, out)
 		}
 	}
-	srv.sweepRetention(time.Now())
+	// The hits were never looked up, so the count cap spares them for
+	// janitorPeriod after they end; sweep as the janitor would after it.
+	later := time.Now().Add(janitorPeriod + time.Second)
+	srv.sweepRetention(later)
 	if d := fsyncs.Value() - base; d != 0 {
 		t.Fatalf("%d hits and their eviction cost %d fsyncs, want 0", hits, d)
 	}
@@ -271,7 +274,7 @@ func TestRetentionOfHitsWritesNoFrames(t *testing.T) {
 	}
 
 	lj.unpin()
-	srv.sweepRetention(time.Now())
+	srv.sweepRetention(later)
 	if d := fsyncs.Value() - base; d != 1 {
 		t.Fatalf("evicting the recorded leader cost %d fsyncs, want 1", d)
 	}

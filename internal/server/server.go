@@ -567,10 +567,16 @@ func (s *Server) armStreamWrite(w http.ResponseWriter) func() {
 	return func() { rc.SetWriteDeadline(time.Now().Add(s.streamTimeout)) }
 }
 
+// lookup returns the job the request names, or nil, and marks it looked
+// up for retention.
 func (s *Server) lookup(r *http.Request) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[r.PathValue("id")]
+	j := s.jobs[r.PathValue("id")]
+	if j != nil {
+		j.lookedUp = true
+	}
+	return j
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

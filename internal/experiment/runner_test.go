@@ -140,12 +140,29 @@ func TestRunConfigValidation(t *testing.T) {
 		{Benchmark: "mesa", Lanes: 8, Multiplex: true},
 		{Benchmark: "mesa", Window: softarch.MaxWindow + 1},
 		{Benchmark: "mesa", Structures: []pipeline.Structure{pipeline.StructIQ, pipeline.StructIQ}},
+		// Run lengths in cycles that overflow int64: the interval, the
+		// interval times the Multiplex factor or a lane pool's share, the
+		// total, and the lane run's cap.
+		{Benchmark: "mesa", Scale: 0.02, M: 1 << 40, N: 1 << 24, Intervals: 1},
+		{Benchmark: "mesa", M: 1 << 31, N: 1 << 31, Intervals: 1, Multiplex: true},
+		{Benchmark: "mesa", M: 1 << 60, N: 1000, Intervals: 1, Lanes: 64},
+		{Benchmark: "mesa", M: 1 << 31, N: 1 << 31, Intervals: 2},
+		{Benchmark: "mesa", M: 1 << 61, N: 16, Intervals: 1, Lanes: 64},
 	} {
 		if rc.Validate() == nil {
 			t.Errorf("%+v: Validate accepted it", rc)
 		}
 		if _, err := Run(rc); err == nil {
 			t.Errorf("%+v: Run accepted it", rc)
+		}
+	}
+	// The largest runs that fit are still accepted.
+	for _, rc := range []RunConfig{
+		{Benchmark: "mesa", M: 1 << 40, N: 1 << 20, Intervals: 1},
+		{Benchmark: "mesa", M: 1 << 40, N: 1 << 24, Intervals: 1, Lanes: 64},
+	} {
+		if err := rc.Validate(); err != nil {
+			t.Errorf("%+v: %v", rc, err)
 		}
 	}
 }

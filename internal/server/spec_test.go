@@ -47,6 +47,8 @@ func TestSubmitRejectsSpecsRunCtxRejects(t *testing.T) {
 		`{"benchmark":"mesa","flight":true,"flight_cap":1048577}`,
 		`{"benchmark":"mesa","window":4611686018427387905}`,
 		`{"benchmark":"mesa","window":1048577}`,
+		`{"benchmark":"mesa","scale":0.02,"m":1099511627776,"n":16777216,"intervals":1}`,
+		`{"benchmark":"mesa","m":2305843009213693952,"n":16,"lanes":64,"intervals":1}`,
 	} {
 		code := make(chan int, 1)
 		go func() {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"avfsim/internal/config"
 	"avfsim/internal/core"
@@ -300,9 +301,30 @@ func Run(rc RunConfig) (*Result, error) {
 // interval while keeping the per-cycle overhead negligible.
 const ctxCheckStride = 2048
 
+// analyzers holds SoftArch analyzers between runs, so that a run reuses
+// the node ring and buffers an earlier run grew instead of allocating
+// its own. An analyzer is put back only once it is flushed and no helper
+// goroutine can touch it.
+var analyzers sync.Pool
+
 // RunCtx is Run with cancellation: when ctx is done the simulation
 // stops within ctxCheckStride cycles and RunCtx returns ctx.Err().
 func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
+	ref, _ := analyzers.Get().(*softarch.Analyzer)
+	if ref == nil {
+		ref = new(softarch.Analyzer)
+	}
+	res, err := runWith(ctx, rc, ref)
+	if err == nil {
+		analyzers.Put(ref)
+	}
+	return res, err
+}
+
+// runWith is RunCtx with ref as the SoftArch reference, which it resets
+// for the run. When it returns, ref's replaying goroutine has exited,
+// and ref is flushed if the run succeeded.
+func runWith(ctx context.Context, rc RunConfig, ref *softarch.Analyzer) (*Result, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
@@ -337,7 +359,8 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 	// goroutine, SoftArch's events replayed on another, and the pipeline
 	// and every other observer run on this one. However the run ends,
 	// both helpers are joined and the hooks detached, so that a kept
-	// Result pins neither the analyzer nor the blocks.
+	// Result pins neither the analyzer nor the blocks, and the analyzer
+	// is free for the next run.
 	src, stopSource := trace.Prefetch(src)
 	var (
 		p    *pipeline.Pipeline
@@ -400,11 +423,7 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 	intervalCycles, totalCycles, capCycles, _ := rc.cycles()
-	ref, err := softarch.NewAnalyzer(p, softarch.Options{
-		IntervalCycles: intervalCycles,
-		Window:         rc.Window,
-	})
-	if err != nil {
+	if err := ref.Reset(p, softarch.Options{IntervalCycles: intervalCycles, Window: rc.Window}); err != nil {
 		return nil, err
 	}
 	var logicStructs []pipeline.Structure

@@ -9,17 +9,24 @@ import (
 	"avfsim/internal/isa"
 	"avfsim/internal/pipeline"
 	"avfsim/internal/trace"
+	"avfsim/internal/workload"
 )
 
-// newAnalyzer builds an analyzer against the default processor geometry.
-func newAnalyzer(t *testing.T, interval int64, window int) *Analyzer {
+// idlePipeline is a pipeline of the default geometry with nothing to run.
+func idlePipeline(t *testing.T) *pipeline.Pipeline {
 	t.Helper()
 	cfg := config.Default()
 	p, err := pipeline.New(&cfg, trace.NewSliceSource(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAnalyzer(p, Options{IntervalCycles: interval, Window: window})
+	return p
+}
+
+// newAnalyzer builds an analyzer against the default processor geometry.
+func newAnalyzer(t *testing.T, interval int64, window int) *Analyzer {
+	t.Helper()
+	a, err := NewAnalyzer(idlePipeline(t), Options{IntervalCycles: interval, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +380,101 @@ func TestFlushIdempotentEnough(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		if series[i] != 0 {
 			t.Errorf("interval %d should be zero-padded, got %v", i, series[i])
+		}
+	}
+}
+
+// TestResetStampWraps: when the run stamp wraps around, Reset clears the
+// ring, so a node an earlier run left in a slot cannot pass for a node of
+// the new run that carries the same stamp.
+func TestResetStampWraps(t *testing.T) {
+	a := newAnalyzer(t, 100, 64)
+	old := ev(0, isa.ClassIntALU, 50)
+	old.Queue, old.DispatchCycle, old.IssueCycle = pipeline.QFXU, 10, 40
+	a.HandleRetire(old) // left in slot 0 with this run's stamp
+	a.run = math.MaxUint32 - 1
+	for i := 0; i < 2; i++ { // the second Reset wraps the stamp to this run's
+		if err := a.Reset(idlePipeline(t), Options{IntervalCycles: 100, Window: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A store names seq 0 as its producer, which this run never retired.
+	st := ev(1, isa.ClassStore, 60)
+	st.SrcProducers = [2]int64{0, -1}
+	a.HandleRetire(st)
+	a.Flush()
+	if a.DroppedMarks() != 1 {
+		t.Errorf("dropped marks = %d, want 1", a.DroppedMarks())
+	}
+	if got := a.AVFSeries(pipeline.StructIQ, 1)[0]; got != 0 {
+		t.Errorf("IQ AVF = %v: an earlier run's node was attributed", got)
+	}
+}
+
+// recordProfile runs a scaled profile for the given cycles and returns
+// the pipeline and its SoftArch hook calls, in order, bound to a.
+func recordProfile(t *testing.T, a *Analyzer, bench string, cycles int64) (*pipeline.Pipeline, []func()) {
+	t.Helper()
+	prof, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := workload.Scale(prof, 0.02).Source(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	p, err := pipeline.New(&cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls []func()
+	p.SetHooks(pipeline.Hooks{
+		OnRetire: func(ev *pipeline.RetireEvent) {
+			e := *ev
+			calls = append(calls, func() { a.HandleRetire(&e) })
+		},
+		OnRegWrite: func(f pipeline.RegFileID, phys int16, cycle, seq int64) {
+			calls = append(calls, func() { a.HandleRegWrite(f, phys, cycle, seq) })
+		},
+		OnRegRead: func(f pipeline.RegFileID, phys int16, cycle, seq int64) {
+			calls = append(calls, func() { a.HandleRegRead(f, phys, cycle, seq) })
+		},
+		OnTLBAccess: func(s pipeline.Structure, entry int, cycle int64, refill bool) {
+			calls = append(calls, func() { a.HandleTLBAccess(s, entry, cycle, refill) })
+		},
+	})
+	for p.Cycle() < cycles {
+		if !p.Step() {
+			t.Fatal("trace ended")
+		}
+	}
+	return p, calls
+}
+
+// TestAnalyzerReplayAllocatesNothing: once an analyzer has grown to a
+// run's needs, Reset, replaying the run's events and Flush allocate
+// nothing, at the default window and at one small enough to settle
+// segments, cycle the read arena and truncate chains mid-run.
+func TestAnalyzerReplayAllocatesNothing(t *testing.T) {
+	for _, window := range []int{0, 128} {
+		a := new(Analyzer)
+		p, calls := recordProfile(t, a, "mesa", 60_000)
+		replay := func() {
+			if err := a.Reset(p, Options{IntervalCycles: 4000, Window: window}); err != nil {
+				t.Fatal(err)
+			}
+			for _, call := range calls {
+				call()
+			}
+			a.Flush()
+		}
+		replay() // grow the analyzer
+		if n := testing.AllocsPerRun(2, replay); n != 0 {
+			t.Errorf("window %d: %v allocations replaying %d events", window, n, len(calls))
+		}
+		if window == 128 && a.DroppedMarks() == 0 {
+			t.Error("window 128 truncated no chain; the case is not exercised")
 		}
 	}
 }

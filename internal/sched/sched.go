@@ -246,9 +246,12 @@ type Pool struct {
 	wg   sync.WaitGroup
 
 	// mu guards the queues and closed; cond is signaled on every push
-	// and on close so idle workers wake.
+	// and on close so idle workers wake, and space whenever a worker
+	// takes a task from the queues and on close, so SubmitWait callers
+	// waiting for a slot wake.
 	mu      sync.Mutex
 	cond    *sync.Cond
+	space   *sync.Cond
 	queues  [NumClasses][]*Task
 	queuedN int
 	closed  bool
@@ -338,6 +341,7 @@ func New(opts Options) *Pool {
 	p := &Pool{opts: opts}
 	p.ctx, p.cancel = context.WithCancel(context.Background())
 	p.cond = sync.NewCond(&p.mu)
+	p.space = sync.NewCond(&p.mu)
 	if opts.Metrics != nil {
 		p.registerMetrics(opts.Metrics)
 	}
@@ -383,23 +387,55 @@ func (p *Pool) newTask(fn Func, opts []SubmitOption) *Task {
 // make room) and ErrShutdown after Shutdown; otherwise the returned
 // Task tracks the job.
 func (p *Pool) Submit(fn Func, opts ...SubmitOption) (*Task, error) {
+	return p.submit(context.Background(), false, fn, opts)
+}
+
+// SubmitWait is Submit that blocks for queue space instead of rejecting
+// (the internal-grid path wants backpressure-by-blocking; the HTTP path
+// wants reject-when-full). It returns ctx.Err() if ctx is done before a
+// slot opens. Waiting is not a rejection: only Submit's ErrQueueFull
+// counts in Stats.Rejected.
+func (p *Pool) SubmitWait(ctx context.Context, fn Func, opts ...SubmitOption) (*Task, error) {
+	// Wake the wait below when ctx is done; it rechecks under the lock,
+	// so the wake cannot fall between its check and its wait.
+	stop := context.AfterFunc(ctx, func() {
+		p.mu.Lock()
+		p.space.Broadcast()
+		p.mu.Unlock()
+	})
+	defer stop()
+	return p.submit(ctx, true, fn, opts)
+}
+
+// submit queues a task for fn. When the queue is full and no lower class
+// can be shed, it rejects with ErrQueueFull, or with wait set waits for a
+// slot until ctx is done.
+func (p *Pool) submit(ctx context.Context, wait bool, fn Func, opts []SubmitOption) (*Task, error) {
 	t := p.newTask(fn, opts)
 	p.mu.Lock()
-	if p.closed {
+	var victim *Task
+	for !p.closed && p.queuedN >= p.opts.QueueCap {
+		if victim = p.evictLocked(t.class); victim != nil || !wait || ctx.Err() != nil {
+			break
+		}
+		p.space.Wait()
+	}
+	var err error
+	switch {
+	case p.closed:
+		err = ErrShutdown
+	case victim != nil || p.queuedN < p.opts.QueueCap:
+	case !wait:
+		p.rejected.Add(1)
+		p.classes[t.class].rejected.Add(1)
+		err = ErrQueueFull
+	default:
+		err = ctx.Err()
+	}
+	if err != nil {
 		p.mu.Unlock()
 		t.cancel()
-		return nil, ErrShutdown
-	}
-	var victim *Task
-	if p.queuedN >= p.opts.QueueCap {
-		victim = p.evictLocked(t.class)
-		if victim == nil {
-			p.mu.Unlock()
-			p.rejected.Add(1)
-			p.classes[t.class].rejected.Add(1)
-			t.cancel()
-			return nil, ErrQueueFull
-		}
+		return nil, err
 	}
 	p.queues[t.class] = append(p.queues[t.class], t)
 	p.queuedN++
@@ -443,25 +479,6 @@ func (p *Pool) evictLocked(c Class) *Task {
 	return nil
 }
 
-// SubmitWait is Submit that blocks for queue space instead of rejecting
-// (the internal-grid path wants backpressure-by-blocking; the HTTP path
-// wants reject-when-full). It returns ctx.Err() if ctx is done first.
-func (p *Pool) SubmitWait(ctx context.Context, fn Func, opts ...SubmitOption) (*Task, error) {
-	for {
-		t, err := p.Submit(fn, opts...)
-		if err == nil || !errors.Is(err, ErrQueueFull) {
-			return t, err
-		}
-		// Queue full: wait for a slot to open (or give up with ctx).
-		// The queue drains at simulation speed, so poll coarsely.
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-}
-
 // Shutdown stops accepting jobs and waits for queued and running work
 // to drain. If ctx expires first, all remaining tasks are canceled and
 // Shutdown keeps waiting for the workers to observe that and exit, then
@@ -474,6 +491,7 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 	}
 	p.closed = true
 	p.cond.Broadcast()
+	p.space.Broadcast()
 	p.mu.Unlock()
 
 	drained := make(chan struct{})
@@ -535,6 +553,7 @@ func (p *Pool) next() *Task {
 			p.queuedN--
 			p.queued.Add(-1)
 			p.classes[c].queued.Add(-1)
+			p.space.Signal()
 			return t
 		}
 		if p.closed {

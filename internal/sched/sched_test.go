@@ -113,6 +113,38 @@ func TestQueueFullRejection(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitIsNotRejected: a SubmitWait that waits behind a full
+// queue and then gets a slot counts no rejection, in the pool or its
+// class.
+func TestSubmitWaitIsNotRejected(t *testing.T) {
+	p := New(Options{Workers: 1, QueueCap: 1})
+	defer p.Shutdown(context.Background())
+	fn, release := block()
+	defer release()
+	running := mustSubmit(t, p, fn)
+	waitState(t, running, StateRunning)
+	mustSubmit(t, p, fn)
+	start := time.Now()
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		release()
+	}()
+	task, err := p.SubmitWait(context.Background(), fn)
+	if err != nil {
+		t.Fatalf("SubmitWait: %v", err)
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond {
+		t.Fatalf("SubmitWait returned after %v, before the queue had room", waited)
+	}
+	if err := task.Wait(context.Background()); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	s := p.Stats()
+	if s.Rejected != 0 || s.Classes[ClassStandard.String()].Rejected != 0 {
+		t.Errorf("Rejected = %d (standard class %d), want 0", s.Rejected, s.Classes[ClassStandard.String()].Rejected)
+	}
+}
+
 func TestSubmitWaitHonorsContext(t *testing.T) {
 	p := New(Options{Workers: 1, QueueCap: 1})
 	defer p.Shutdown(context.Background())

@@ -8,10 +8,12 @@ package server
 // scheduler — duplicates are served even when the queue is saturated.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"avfsim/internal/cache"
@@ -26,6 +28,25 @@ type cacheValue struct {
 	Leader string          `json:"leader"`
 	Points []IntervalPoint `json:"points"`
 	Result *JobResult      `json:"result"`
+
+	// once builds the entry's NDJSON stream (see stream); it is never
+	// persisted.
+	once   sync.Once
+	ndjson []byte
+	encErr error
+}
+
+// stream is the NDJSON stream of every job served from the entry: its
+// points' interval lines, then the done end line. It is encoded on
+// first use and shared read-only, so a hit's stream costs one write of
+// bytes that already exist.
+func (v *cacheValue) stream() ([]byte, error) {
+	v.once.Do(func() {
+		var buf bytes.Buffer
+		v.encErr = appendStream(&buf, v.Points, &StreamEvent{Type: "end", State: "done"})
+		v.ndjson = buf.Bytes()
+	})
+	return v.ndjson, v.encErr
 }
 
 // cacheMode classifies a spec's cache participation.
@@ -381,7 +402,7 @@ func (s *Server) restoreFromCache(j *job, v *cacheValue) {
 // finishFromCache ends a job not yet registered with a cached run's
 // series, then registers it: the job is born terminal.
 func (s *Server) finishFromCache(j *job, v *cacheValue, e ending) {
-	j.points, j.cached, j.cacheLeader = v.Points, true, v.Leader
+	j.points, j.entry, j.cacheLeader = v.Points, v, v.Leader
 	e.state, e.result = "done", v.Result
 	s.finish(j, e)
 	s.register(j)

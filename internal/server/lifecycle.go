@@ -10,6 +10,7 @@ package server
 // same steps in the same order, and persists before it publishes.
 
 import (
+	"bytes"
 	"errors"
 	"strconv"
 	"sync"
@@ -90,9 +91,11 @@ type job struct {
 	// the worker hands it over; finish closes whichever is still open.
 	queueSpan    *span.Active
 	dispatchSpan *span.Active
-	// cached/cacheLeader mirror JobStatus: this job's series was served
-	// by the cache (or a live leader) instead of its own run.
-	cached      bool
+	// entry is the cache entry this job was served from (a hit or a
+	// cache restore), nil otherwise; with cacheLeader it mirrors
+	// JobStatus: the series came from the cache (or a live leader)
+	// instead of the job's own run.
+	entry       *cacheValue
 	cacheLeader string
 	// leader, while non-nil, is the live run this follower rides;
 	// followers is the leader-side fan-out list (guarded by the *leader's*
@@ -173,20 +176,49 @@ func (j *job) publish(pt IntervalPoint, walHeld bool) {
 	}
 }
 
-// subscribe returns the estimates so far plus a channel of subsequent
-// ones; the channel is closed when the job ends (or nil if it already
-// has). cancelSub must be called when the consumer goes away. points is
-// append-only, so replay shares its backing array instead of copying.
-func (j *job) subscribe() (replay []IntervalPoint, ch chan IntervalPoint) {
+// subscription is what a stream reader gets from subscribe: a live
+// job's estimates so far and a channel of later ones, or a finished
+// job's whole series with its end event and a nil channel.
+type subscription struct {
+	points []IntervalPoint
+	// ch delivers later estimates and is closed when the job ends; nil
+	// if the job had ended already.
+	ch chan IntervalPoint
+	// end and entry describe a finished job: its end event, and the
+	// cache entry it was served from (nil if none).
+	end   StreamEvent
+	entry *cacheValue
+}
+
+// subscribe decides, once and under the job lock, whether a reader
+// gets a finished stream or a live one. cancelSub must be called on a
+// live subscription's channel when the consumer goes away. points is
+// append-only, so the subscription shares its backing array instead of
+// copying.
+func (j *job) subscribe() subscription {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay = j.points[:len(j.points):len(j.points)]
+	sub := subscription{points: j.points[:len(j.points):len(j.points)]}
 	if terminal(j.state) {
-		return replay, nil
+		sub.end = StreamEvent{Type: "end", State: j.state, Error: j.errMsg}
+		sub.entry = j.entry
+		return sub
 	}
-	ch = make(chan IntervalPoint, subCap)
-	j.subs[ch] = struct{}{}
-	return replay, ch
+	sub.ch = make(chan IntervalPoint, subCap)
+	j.subs[sub.ch] = struct{}{}
+	return sub
+}
+
+// stream is a finished subscription's whole NDJSON stream in one byte
+// string: the shared bytes of the cache entry the job was served from,
+// or else its points and end event encoded by the same function.
+func (sub *subscription) stream() ([]byte, error) {
+	if sub.entry != nil {
+		return sub.entry.stream()
+	}
+	var buf bytes.Buffer
+	err := appendStream(&buf, sub.points, &sub.end)
+	return buf.Bytes(), err
 }
 
 func (j *job) cancelSub(ch chan IntervalPoint) {
@@ -212,7 +244,7 @@ func (j *job) status() JobStatus {
 		Error:       j.errMsg,
 		TraceID:     j.traceID(),
 		ShedBy:      j.shedBy,
-		Cached:      j.cached,
+		Cached:      j.entry != nil,
 		CacheLeader: j.cacheLeader,
 	}
 }

@@ -272,7 +272,7 @@ func TestResumedJobSkipsReplayedIntervals(t *testing.T) {
 		t.Fatalf("Recover = %d, %v", n, err)
 	}
 	got := streamBytes(t, ts, "job-1")
-	want := streamOf(t, ref, "done")
+	want := streamOf(t, ref, "done", "")
 	if got != want {
 		t.Fatalf("resumed stream:\n%s\nwant the reference stream:\n%s", got, want)
 	}
@@ -295,9 +295,9 @@ func TestResumedJobSkipsReplayedIntervals(t *testing.T) {
 	}
 }
 
-// streamOf renders the NDJSON stream a job with points and terminal
-// state emits.
-func streamOf(t testing.TB, pts []IntervalPoint, state string) string {
+// streamOf renders the NDJSON stream a job with points, terminal state
+// and error emits.
+func streamOf(t testing.TB, pts []IntervalPoint, state, errMsg string) string {
 	t.Helper()
 	var b strings.Builder
 	enc := json.NewEncoder(&b)
@@ -306,7 +306,7 @@ func streamOf(t testing.TB, pts []IntervalPoint, state string) string {
 			t.Fatal(err)
 		}
 	}
-	enc.Encode(StreamEvent{Type: "end", State: state})
+	enc.Encode(StreamEvent{Type: "end", State: state, Error: errMsg})
 	return b.String()
 }
 

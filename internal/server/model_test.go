@@ -439,7 +439,7 @@ func (m *model) quiesce() {
 				m.t.Fatalf("%s done with a series that differs from the reference", j.id)
 			}
 			rec := m.do(http.MethodGet, "/v1/jobs/"+j.id+"/stream", "")
-			if got := rec.Body.String(); got != streamOf(m.t, ref, "done") {
+			if got := rec.Body.String(); got != streamOf(m.t, ref, "done", "") {
 				m.t.Fatalf("%s stream differs from the reference:\n%s", j.id, got)
 			}
 		case s.State != "canceled":

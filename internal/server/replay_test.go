@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -183,6 +184,94 @@ func TestRecoveredTerminalStreamReplaysInOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOneShotReplay(t, srv2, id, ref)
+}
+
+// TestUnfinishedEndingsReplayInOneWrite: a finished job that did not end
+// done, one stopped by its deadline_seconds and one canceled by DELETE,
+// gets its points and its own end event, state and error included, in
+// one write and one flush once it has ended.
+func TestUnfinishedEndingsReplayInOneWrite(t *testing.T) {
+	ts, srv, _ := newCacheServer(t, 1, 4, WithSpans(span.NewRecorder(4096)))
+	deadlined, _ := postJob(t, ts, strings.Replace(longJob, "}", `,"deadline_seconds":0.5}`, 1))
+	deleted, _ := postJob(t, ts, strings.Replace(longJob, `"seed":3`, `"seed":4`, 1))
+	waitPoints(t, ts, deleted, 4, 30*time.Second)
+	deleteJob(t, ts, deleted)
+
+	for id, wantErr := range map[string]string{
+		deadlined: "context deadline exceeded",
+		deleted:   "context canceled",
+	} {
+		st := waitTerminal(t, ts, id, 30*time.Second)
+		if st.State != "canceled" || st.Error != wantErr || len(st.Intervals) == 0 {
+			t.Fatalf("job %s ended %q (%q) with %d points, want canceled (%q) with points",
+				id, st.State, st.Error, len(st.Intervals), wantErr)
+		}
+		checkOneShotReplay(t, srv, id, streamOf(t, st.Intervals, st.State, st.Error))
+	}
+}
+
+// discardStream is a ResponseWriter and Flusher that drops what it is
+// given and allocates nothing itself.
+type discardStream struct{ h http.Header }
+
+func (d *discardStream) Header() http.Header         { return d.h }
+func (d *discardStream) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardStream) WriteHeader(int)             {}
+func (d *discardStream) Flush()                      {}
+
+// TestCacheHitStreamEncodedOnce: a cache entry's stream is encoded once,
+// on first use even when several hits are read at once, and shared by
+// every hit served from it, so a hit's stream costs the same allocations
+// whether its entry holds 2 points or 24.
+func TestCacheHitStreamEncodedOnce(t *testing.T) {
+	ts, srv, _ := newCacheServer(t, 1, 4, WithSpans(span.NewRecorder(4096)))
+	hitAllocs := func(n int) float64 {
+		spec := fmt.Sprintf(`{"benchmark":"bzip2","scale":0.02,"seed":%d,"m":400,"n":50,"intervals":%d}`, n, n)
+		var js JobSpec
+		if err := json.Unmarshal([]byte(spec), &js); err != nil {
+			t.Fatal(err)
+		}
+		v := &cacheValue{Leader: "job-0", Result: &JobResult{Benchmark: "bzip2"}}
+		for i := 0; i < n; i++ {
+			v.Points = append(v.Points, IntervalPoint{Structure: "iq", Interval: i,
+				StartCycle: int64(i) * 20000, EndCycle: int64(i+1) * 20000,
+				AVF: float64(i+1) / 50, Failures: i + 1, Injections: 50})
+		}
+		srv.cache.Put(cacheKeyOf(&js), v)
+		ids := make([]string, 4)
+		for i := range ids {
+			out, _ := postJobAny(t, ts, spec)
+			if out["cached"] != true {
+				t.Fatalf("submit with %d cached points not a hit: %+v", n, out)
+			}
+			ids[i] = out["id"].(string)
+		}
+		bodies := make([]string, len(ids))
+		var wg sync.WaitGroup
+		for i, id := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				bodies[i] = streamCounted(srv, id).Body.String()
+			}()
+		}
+		wg.Wait()
+		want := streamOf(t, v.Points, "done", "")
+		for i, b := range bodies {
+			if b != want {
+				t.Fatalf("hit %s of a %d-point entry streamed:\n%s\nwant:\n%s", ids[i], n, b, want)
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+ids[0]+"/stream", nil)
+		req.SetPathValue("id", ids[0])
+		w := &discardStream{h: http.Header{}}
+		return testing.AllocsPerRun(200, func() { srv.handleStream(w, req) })
+	}
+	few, many := hitAllocs(2), hitAllocs(24)
+	t.Logf("allocations per hit stream: %v with 2 points, %v with 24", few, many)
+	if few != many {
+		t.Fatalf("a hit's stream costs %v allocations with 2 points and %v with 24, want equal", few, many)
+	}
 }
 
 // storedTerminal reports whether jobs holds job id in a terminal state.

@@ -167,6 +167,23 @@ type StreamEvent struct {
 	Error    string         `json:"error,omitempty"`
 }
 
+// appendStream encodes pts as interval lines and then, if end is not
+// nil, the end line. Every stream byte comes from here: a cache entry's
+// shared stream, a finished job's stream, and a live stream's backlog,
+// later estimates and end, so a reader gets the same bytes either way.
+func appendStream(buf *bytes.Buffer, pts []IntervalPoint, end *StreamEvent) error {
+	enc := json.NewEncoder(buf)
+	for i := range pts {
+		if err := enc.Encode(StreamEvent{Type: "interval", Interval: &pts[i]}); err != nil {
+			return err
+		}
+	}
+	if end == nil {
+		return nil
+	}
+	return enc.Encode(end)
+}
+
 // SeriesJSON is the final per-structure AVF series triple.
 type SeriesJSON struct {
 	Structure   string    `json:"structure"`
@@ -529,7 +546,9 @@ func (s *Server) Close() {
 	}
 }
 
-// CancelAll cancels every non-terminal job (shutdown-deadline path).
+// CancelAll cancels every job that has a task. avfd's drain does not
+// need it (the pool's Shutdown cancels what it holds at its deadline);
+// tests use it to cancel jobs mid-run.
 func (s *Server) CancelAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1044,70 +1063,57 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	// Events are encoded into buf; send writes and flushes whatever is
-	// buffered under one rolling deadline. A live job sends its backlog,
-	// then one line per estimate so the client watches AVF evolve; a
-	// finished job's whole stream goes out in a single write.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	// send writes and flushes b, which holds n interval events, under one
+	// rolling deadline. A finished job's whole stream is one send; a live
+	// job sends its backlog, then one line per estimate so the client
+	// watches AVF evolve, then its end event.
 	arm := s.armStreamWrite(w)
-	pending := 0 // interval events in buf
-	interval := func(pt *IntervalPoint) bool {
-		if err := enc.Encode(StreamEvent{Type: "interval", Interval: pt}); err != nil {
-			return false
-		}
-		pending++
-		return true
-	}
-	send := func() bool {
+	send := func(b []byte, n int) bool {
 		arm()
-		_, err := w.Write(buf.Bytes())
-		buf.Reset()
-		if err != nil {
+		if _, err := w.Write(b); err != nil {
 			return false
 		}
 		flusher.Flush()
-		points += pending
+		points += n
 		if s.streamedPoints != nil {
-			s.streamedPoints.Add(int64(pending))
+			s.streamedPoints.Add(int64(n))
 		}
-		pending = 0
 		return true
 	}
 
-	replay, ch := j.subscribe()
-	if ch != nil {
-		defer j.cancelSub(ch)
-	}
-	for i := range replay {
-		if !interval(&replay[i]) {
-			return
+	sub := j.subscribe()
+	if sub.ch == nil {
+		if b, err := sub.stream(); err == nil {
+			send(b, len(sub.points))
 		}
+		return
 	}
-	if ch != nil {
-		if !send() {
-			return
-		}
-	stream:
-		for {
-			select {
-			case pt, ok := <-ch:
-				if !ok {
-					break stream
-				}
-				if !interval(&pt) || !send() {
-					return
-				}
-			case <-r.Context().Done():
+	defer j.cancelSub(sub.ch)
+	var buf bytes.Buffer
+	if appendStream(&buf, sub.points, nil) != nil || !send(buf.Bytes(), len(sub.points)) {
+		return
+	}
+stream:
+	for {
+		select {
+		case pt, ok := <-sub.ch:
+			if !ok {
+				break stream
+			}
+			buf.Reset()
+			if appendStream(&buf, []IntervalPoint{pt}, nil) != nil || !send(buf.Bytes(), 1) {
 				return
 			}
+		case <-r.Context().Done():
+			return
 		}
 	}
 	j.mu.Lock()
 	end := StreamEvent{Type: "end", State: j.state, Error: j.errMsg}
 	j.mu.Unlock()
-	if enc.Encode(end) == nil {
-		send()
+	buf.Reset()
+	if appendStream(&buf, nil, &end) == nil {
+		send(buf.Bytes(), 0)
 	}
 }
 

@@ -223,12 +223,8 @@ func main() {
 	// Stop accepting connections first; in-flight streams follow the
 	// jobs they watch.
 	go httpSrv.Shutdown(drainCtx)
-	// If the deadline passes, cancel every remaining job so the pool's
-	// workers can come home.
-	go func() {
-		<-drainCtx.Done()
-		srv.CancelAll()
-	}()
+	// If the deadline passes, the pool cancels every task it still holds,
+	// running or queued, so its workers come home.
 	if err := pool.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("pool shutdown failed", "error", err)
 	} else if errors.Is(err, context.DeadlineExceeded) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -200,6 +201,53 @@ func TestGracefulDrainInterrupted(t *testing.T) {
 		t.Fatalf("resumed %d jobs, want 1", resumed)
 	}
 	srv2.CancelAll()
+}
+
+// TestDrainByPoolShutdownAlone is avfd's SIGTERM drain as the daemon
+// runs it: BeginDrain, then a pool Shutdown whose deadline passes, and
+// no cancel from the server. The pool cancels the running job and the
+// queued one; both end canceled as checkpoints, with no terminal frame,
+// and the next boot's Recover resumes both.
+func TestDrainByPoolShutdownAlone(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.New(sched.Options{Workers: 1, QueueCap: 4})
+	srv := New(pool, WithStore(st), WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	running, _ := postJob(t, ts, longJob)
+	queued, _ := postJob(t, ts, strings.Replace(longJob, `"seed":3`, `"seed":4`, 1))
+	waitPoints(t, ts, running, 1, 20*time.Second)
+	if s := getStatus(t, ts, queued); s.State != "queued" {
+		t.Fatalf("second job is %q, want queued behind the only worker", s.State)
+	}
+
+	srv.BeginDrain()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := pool.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want the deadline to pass", err)
+	}
+	srv.Close() // every ended job's terminal transition is done
+	for _, id := range []string{running, queued} {
+		if s := getStatus(t, ts, id); s.State != "canceled" {
+			t.Fatalf("%s = %q after the drain, want canceled", id, s.State)
+		}
+		if jr := findJob(t, st, id); jr.Terminal() {
+			t.Fatalf("%s has terminal frame %q after a drain cancel", id, jr.State)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, srv2, _, _ := newStoreServer(t, dir)
+	if resumed, err := srv2.Recover(); err != nil || resumed != 2 {
+		t.Fatalf("Recover = %d, %v; want both drained jobs resumed", resumed, err)
+	}
 }
 
 // TestRetentionEvicts bounds the job map: with a max-completed cap of

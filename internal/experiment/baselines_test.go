@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"avfsim/internal/pipeline"
@@ -14,8 +15,13 @@ var baselineSpec = ScaleSpec{
 	Intervals: 4, DetailIntervals: 4, Fig2M: 2000, Fig2Samples: 300,
 }
 
+// baselineSuite is the one suite the baseline tests share, so its
+// memoized 11-run grid is simulated once rather than once per test.
+// The tests that use it do not run in parallel.
+var baselineSuite = sync.OnceValue(func() *Suite { return NewSuite(baselineSpec, 1) })
+
 func TestOccupancyOverestimatesIQ(t *testing.T) {
-	s := NewSuite(baselineSpec, 1)
+	s := baselineSuite()
 	rows, err := s.OccupancyStudy()
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +47,7 @@ func TestOccupancyOverestimatesIQ(t *testing.T) {
 }
 
 func TestRegressionStudyShape(t *testing.T) {
-	s := NewSuite(baselineSpec, 1)
+	s := baselineSuite()
 	rows, err := s.RegressionStudy()
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +117,7 @@ func TestBaselinesRender(t *testing.T) {
 		t.Skip("full-suite render")
 	}
 	var b strings.Builder
-	if err := NewSuite(baselineSpec, 1).Baselines(&b); err != nil {
+	if err := baselineSuite().Baselines(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
